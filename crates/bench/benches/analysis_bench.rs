@@ -16,14 +16,14 @@ fn fixtures() -> (Catalog, FailureTrace) {
 fn bench_fig1_rootcause(c: &mut Criterion) {
     let (catalog, trace) = fixtures();
     c.bench_function("fig1_rootcause_breakdown", |b| {
-        b.iter(|| rootcause::analyze(black_box(&trace), black_box(&catalog)));
+        b.iter(|| rootcause::analyze_indexed(&black_box(&trace).index(), black_box(&catalog)));
     });
 }
 
 fn bench_fig2_rates(c: &mut Criterion) {
     let (catalog, trace) = fixtures();
     c.bench_function("fig2_failure_rates", |b| {
-        b.iter(|| rates::analyze(black_box(&trace), black_box(&catalog)).unwrap());
+        b.iter(|| rates::analyze_indexed(&black_box(&trace).index(), black_box(&catalog)).unwrap());
     });
 }
 
@@ -31,7 +31,10 @@ fn bench_fig3_pernode(c: &mut Criterion) {
     let (catalog, trace) = fixtures();
     let sys20 = trace.filter_system(SystemId::new(20));
     c.bench_function("fig3_per_node_fits", |b| {
-        b.iter(|| pernode::analyze(black_box(&sys20), &catalog, SystemId::new(20)).unwrap());
+        b.iter(|| {
+            pernode::analyze_indexed(&black_box(&sys20).index(), &catalog, SystemId::new(20))
+                .unwrap()
+        });
     });
 }
 
@@ -49,8 +52,8 @@ fn bench_fig6_tbf(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("system_wide_full_fit", |b| {
         b.iter(|| {
-            tbf::analyze(
-                black_box(&sys20),
+            tbf::analyze_indexed(
+                &black_box(&sys20).index(),
                 tbf::View::SystemWide(SystemId::new(20)),
                 None,
             )
@@ -63,7 +66,7 @@ fn bench_fig6_tbf(c: &mut Criterion) {
 fn bench_table2_repairs(c: &mut Criterion) {
     let (_, trace) = fixtures();
     c.bench_function("table2_repair_stats", |b| {
-        b.iter(|| repair::by_cause(black_box(&trace)).unwrap());
+        b.iter(|| repair::by_cause_indexed(&black_box(&trace).index()).unwrap());
     });
 }
 
@@ -72,7 +75,7 @@ fn bench_fig7_repair_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_repair_fit");
     group.sample_size(10);
     group.bench_function("all_records", |b| {
-        b.iter(|| repair::fit_all_repairs(black_box(&trace)).unwrap());
+        b.iter(|| repair::fit_all_repairs_indexed(&black_box(&trace).index()).unwrap());
     });
     group.finish();
 }

@@ -15,9 +15,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hpcfail_exec::{ParallelExecutor, SeedSequence};
 use hpcfail_stats::bootstrap::{percentile_ci_parallel, percentile_ci_parallel_prepared};
 use hpcfail_stats::descriptive::{mean, quantile_sorted};
-use hpcfail_stats::dist::{sample_n, Continuous, Weibull};
+use hpcfail_stats::dist::{sample_n, Weibull};
 use hpcfail_stats::fit::{fit_paper_set, fit_paper_set_prepared};
-use hpcfail_stats::gof::{ks_statistic_batch, ks_statistic_sorted};
+use hpcfail_stats::gof::ks_statistic_sorted;
 use hpcfail_stats::prepared::PreparedSample;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -353,14 +353,13 @@ fn bench_sampling(c: &mut Criterion) {
     });
 }
 
-/// Scalar vs batch KS (DESIGN.md §13). 'scalar_exhaustive' is the
-/// per-point dyn-dispatched CDF scan (what the fit path did before
-/// branch-and-bound landed), 'branch_bound' the scalar
-/// interval-skipping path, 'batch' the level-batched `cdf_batch`
-/// composition the fit path now calls. All three return the same bits;
-/// the proptests and `gof.rs` unit tests pin that.
-fn bench_batch_ks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_ks");
+/// KS scaling: 'scalar_exhaustive' is the per-point dyn-dispatched CDF
+/// scan (what the fit path did before branch-and-bound landed),
+/// 'branch_bound' the interval-skipping `ks_statistic_sorted` the fit
+/// path calls. Both return the same bits; the proptests and `gof.rs`
+/// unit tests pin that.
+fn bench_ks_scaling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ks");
     group.sample_size(10);
     for &n in &[10_000usize, 100_000, 1_000_000] {
         let data = weibull_data(n);
@@ -375,59 +374,7 @@ fn bench_batch_ks(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("branch_bound", n), &n, |b, _| {
             b.iter(|| ks_statistic_sorted(black_box(sorted), black_box(&dist)));
         });
-        group.bench_with_input(BenchmarkId::new("batch", n), &n, |b, _| {
-            b.iter(|| ks_statistic_batch(black_box(sorted), black_box(&dist)));
-        });
     }
-    group.finish();
-}
-
-/// Scalar vs batch NLL off an already-prepared sample: 'prepared' is
-/// the hoisted per-family scalar override behind `nll_prepared`;
-/// 'batch' is the chunked `ln_pdf_batch` + single-reduction path the
-/// fit loop now calls. Same bits either way.
-fn bench_batch_nll(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_nll");
-    group.sample_size(10);
-    for &n in &[10_000usize, 100_000, 1_000_000] {
-        let data = weibull_data(n);
-        let prepared = PreparedSample::new(&data).unwrap();
-        let dist = Weibull::fit_prepared(&prepared).unwrap();
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("prepared", n), &n, |b, _| {
-            b.iter(|| dist.nll_prepared(black_box(&prepared)));
-        });
-        group.bench_with_input(BenchmarkId::new("batch", n), &n, |b, _| {
-            b.iter(|| dist.nll_batch(black_box(&prepared)));
-        });
-    }
-    group.finish();
-}
-
-/// One million inverse-CDF draws into a reused buffer: a scalar
-/// per-call loop (one dyn dispatch + one uniform + one transform per
-/// draw) vs `sample_batch` (block uniforms, then the hoisted transform
-/// over the whole slice). Identical draws, identical final RNG state.
-fn bench_batch_sampling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_sampling");
-    group.sample_size(10);
-    let dist = Weibull::new(0.75, 86_400.0).unwrap();
-    let n = 1_000_000usize;
-    let mut buf = vec![0.0f64; n];
-    group.throughput(Throughput::Elements(n as u64));
-    let mut rng = StdRng::seed_from_u64(1);
-    group.bench_function("scalar_1e6", |b| {
-        b.iter(|| {
-            for slot in buf.iter_mut() {
-                *slot = dist.sample(&mut rng);
-            }
-            black_box(&mut buf);
-        });
-    });
-    let mut rng = StdRng::seed_from_u64(1);
-    group.bench_function("batch_1e6", |b| {
-        b.iter(|| dist.sample_batch(&mut rng, black_box(&mut buf)));
-    });
     group.finish();
 }
 
@@ -455,9 +402,7 @@ criterion_group!(
     bench_bootstrap_shape_ci,
     bench_ks_statistic,
     bench_sampling,
-    bench_batch_ks,
-    bench_batch_nll,
-    bench_batch_sampling,
+    bench_ks_scaling,
     bench_quantile
 );
 criterion_main!(benches);

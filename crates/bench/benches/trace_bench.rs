@@ -65,7 +65,8 @@ mod legacy {
     use std::collections::BTreeMap;
 
     /// Pre-index per-node TBF extraction: one O(n) filter clone of the
-    /// *entire* trace per node (the pattern `pernode::analyze` used).
+    /// *entire* trace per node (the pattern per-node analysis used before
+    /// the index).
     pub fn per_node_gap_counts(trace: &FailureTrace, system: SystemId) -> Vec<usize> {
         (0..NODES)
             .map(|n| {
@@ -92,7 +93,7 @@ mod legacy {
     }
 
     /// Pre-index repair-by-cause: one full-trace filter clone per root
-    /// cause (the pattern `repair::by_cause` used).
+    /// cause (the pattern Table 2 used before the index).
     pub fn repair_minutes_by_cause(trace: &FailureTrace) -> Vec<Vec<f64>> {
         RootCause::ALL
             .iter()

@@ -131,7 +131,11 @@ fn aftershock_ablation() {
     let (_, late) = tbf::paper_era_split();
     let mut t = TextTable::new(&["generator", "C^2", "weibull shape", "exp NLL - best NLL"]);
     for (label, trace) in [("with aftershocks", &with_shock), ("without", &no_shock)] {
-        match tbf::analyze(trace, tbf::View::SystemWide(SystemId::new(20)), Some(late)) {
+        match tbf::analyze_indexed(
+            &trace.index(),
+            tbf::View::SystemWide(SystemId::new(20)),
+            Some(late),
+        ) {
             Ok(a) => {
                 let best_nll = a.fits.best().map(|c| c.nll).unwrap_or(f64::NAN);
                 let exp_nll = a

@@ -708,9 +708,10 @@ fn summary(trace: &FailureTrace) -> Result<String, CliError> {
 
 fn analyze(trace: &FailureTrace, system: u32) -> Result<String, CliError> {
     let catalog = Catalog::lanl();
+    let index = trace.index();
     let mut out = String::new();
 
-    let rate_analysis = rates::analyze(trace, &catalog)
+    let rate_analysis = rates::analyze_indexed(&index, &catalog)
         .map_err(|e| run_err(format!("rate analysis failed: {e}")))?;
     let mut t = TextTable::new(&["system", "failures/yr", "per proc/yr"]);
     for r in rate_analysis.rates.iter().filter(|r| r.failures > 0) {
@@ -722,8 +723,8 @@ fn analyze(trace: &FailureTrace, system: u32) -> Result<String, CliError> {
     }
     let _ = writeln!(out, "failure rates (fig 2):\n{}", t.render());
 
-    let table =
-        repair::by_cause(trace).map_err(|e| run_err(format!("repair analysis failed: {e}")))?;
+    let table = repair::by_cause_indexed(&index)
+        .map_err(|e| run_err(format!("repair analysis failed: {e}")))?;
     let mut t = TextTable::new(&["cause", "mean (min)", "median (min)", "C^2"]);
     for row in &table.rows {
         let cause = row.cause.map(|c| c.to_string()).unwrap_or_default();
@@ -736,7 +737,7 @@ fn analyze(trace: &FailureTrace, system: u32) -> Result<String, CliError> {
     }
     let _ = writeln!(out, "repair times (table 2):\n{}", t.render());
 
-    match tbf::analyze(trace, tbf::View::SystemWide(SystemId::new(system)), None) {
+    match tbf::analyze_indexed(&index, tbf::View::SystemWide(SystemId::new(system)), None) {
         Ok(a) => {
             let _ = writeln!(
                 out,
@@ -767,7 +768,7 @@ fn analyze(trace: &FailureTrace, system: u32) -> Result<String, CliError> {
 
 fn check_findings(trace: &FailureTrace) -> Result<String, CliError> {
     let catalog = Catalog::lanl();
-    let result = findings::evaluate(trace, &catalog)
+    let result = findings::evaluate_indexed(&trace.index(), &catalog)
         .map_err(|e| run_err(format!("findings evaluation failed: {e}")))?;
     let mut out = String::new();
     for f in &result.findings {

@@ -3,7 +3,7 @@
 //! combining the failure-rate view (Fig. 2) with the repair-time view
 //! (Fig. 7).
 
-use hpcfail_records::{Catalog, FailureTrace, HardwareType, SystemId, TraceIndex};
+use hpcfail_records::{Catalog, HardwareType, SystemId, TraceIndex};
 
 use crate::error::AnalysisError;
 
@@ -25,25 +25,13 @@ pub struct SystemAvailability {
 }
 
 /// Compute per-system availability. Systems absent from the trace are
-/// reported with availability 1.
-///
-/// # Errors
-///
-/// [`AnalysisError::InsufficientData`] for an empty trace.
-pub fn analyze(
-    trace: &FailureTrace,
-    catalog: &Catalog,
-) -> Result<Vec<SystemAvailability>, AnalysisError> {
-    analyze_indexed(&trace.index(), catalog)
-}
-
-/// [`analyze`] off a prebuilt [`TraceIndex`]: per-system downtime comes
-/// from the single-pass `downtime_by_system` kernel over the columnar
+/// reported with availability 1. Per-system downtime comes from the
+/// single-pass `downtime_by_system` kernel over the index's columnar
 /// shadow arrays (u64 sums, so accumulation order is immaterial).
 ///
 /// # Errors
 ///
-/// Same as [`analyze`].
+/// [`AnalysisError::InsufficientData`] for an empty trace.
 pub fn analyze_indexed(
     index: &TraceIndex<'_>,
     catalog: &Catalog,
@@ -85,16 +73,7 @@ pub fn analyze_indexed(
 ///
 /// # Errors
 ///
-/// See [`analyze`].
-pub fn site_availability(trace: &FailureTrace, catalog: &Catalog) -> Result<f64, AnalysisError> {
-    site_availability_indexed(&trace.index(), catalog)
-}
-
-/// [`site_availability`] off a prebuilt [`TraceIndex`].
-///
-/// # Errors
-///
-/// See [`analyze`].
+/// See [`analyze_indexed`].
 pub fn site_availability_indexed(
     index: &TraceIndex<'_>,
     catalog: &Catalog,
@@ -108,11 +87,11 @@ pub fn site_availability_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::{DetailedCause, FailureRecord, NodeId, Workload};
+    use hpcfail_records::{DetailedCause, FailureRecord, FailureTrace, NodeId, Workload};
 
     #[test]
     fn empty_trace_rejected() {
-        assert!(analyze(&FailureTrace::new(), &Catalog::lanl()).is_err());
+        assert!(analyze_indexed(&FailureTrace::new().index(), &Catalog::lanl()).is_err());
     }
 
     #[test]
@@ -131,7 +110,7 @@ mod tests {
         )
         .unwrap();
         let trace = FailureTrace::from_records(vec![rec]);
-        let rows = analyze(&trace, &catalog).unwrap();
+        let rows = analyze_indexed(&trace.index(), &catalog).unwrap();
         let row = rows.iter().find(|r| r.system == SystemId::new(22)).unwrap();
         assert!((row.downtime_node_hours - 24.0).abs() < 1e-9);
         let life_hours = (spec.production_end() - start) as f64 / 3_600.0;
@@ -147,7 +126,8 @@ mod tests {
     fn synthetic_site_availability_is_high_but_not_perfect() {
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let rows = analyze(&trace, &catalog).unwrap();
+        let index = trace.index();
+        let rows = analyze_indexed(&index, &catalog).unwrap();
         for r in &rows {
             assert!(
                 (0.85..=1.0).contains(&r.availability),
@@ -156,7 +136,7 @@ mod tests {
                 r.availability
             );
         }
-        let site = site_availability(&trace, &catalog).unwrap();
+        let site = site_availability_indexed(&index, &catalog).unwrap();
         // HPC-scale availability: between two and four nines at the site
         // level for LANL-like failure and repair rates.
         assert!((0.99..1.0).contains(&site), "site availability {site}");
@@ -168,7 +148,7 @@ mod tests {
         // availability than type E systems.
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let rows = analyze(&trace, &catalog).unwrap();
+        let rows = analyze_indexed(&trace.index(), &catalog).unwrap();
         let avg = |hw: HardwareType| {
             let v: Vec<f64> = rows
                 .iter()

@@ -4,7 +4,7 @@
 //! cross-system variability, i.e. failure rates grow roughly linearly
 //! with system size.
 
-use hpcfail_records::{Catalog, FailureTrace, HardwareType, SystemId, TraceIndex};
+use hpcfail_records::{Catalog, HardwareType, SystemId, TraceIndex};
 use hpcfail_stats::descriptive;
 
 use crate::error::AnalysisError;
@@ -88,21 +88,12 @@ impl RateAnalysis {
     }
 }
 
-/// Compute per-system failure rates (Fig. 2).
-///
-/// # Errors
-///
-/// [`AnalysisError::InsufficientData`] for an empty trace.
-pub fn analyze(trace: &FailureTrace, catalog: &Catalog) -> Result<RateAnalysis, AnalysisError> {
-    analyze_indexed(&trace.index(), catalog)
-}
-
-/// [`analyze`] off a prebuilt [`TraceIndex`]: per-system counts come
+/// Compute per-system failure rates (Fig. 2). Per-system counts come
 /// straight from the posting-list span lengths.
 ///
 /// # Errors
 ///
-/// Same as [`analyze`].
+/// [`AnalysisError::InsufficientData`] for an empty trace.
 pub fn analyze_indexed(
     index: &TraceIndex<'_>,
     catalog: &Catalog,
@@ -138,7 +129,9 @@ pub fn analyze_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::{DetailedCause, FailureRecord, NodeId, Timestamp, Workload};
+    use hpcfail_records::{
+        DetailedCause, FailureRecord, FailureTrace, NodeId, Timestamp, Workload,
+    };
 
     fn trace_with_counts(counts: &[(u32, u64)]) -> FailureTrace {
         let mut records = Vec::new();
@@ -164,7 +157,7 @@ mod tests {
     fn empty_trace_errors() {
         let catalog = Catalog::lanl();
         assert!(matches!(
-            analyze(&FailureTrace::new(), &catalog),
+            analyze_indexed(&FailureTrace::new().index(), &catalog),
             Err(AnalysisError::InsufficientData { .. })
         ));
     }
@@ -173,7 +166,7 @@ mod tests {
     fn per_year_math() {
         let catalog = Catalog::lanl();
         let trace = trace_with_counts(&[(19, 575)]); // system 19: ~5.75 years
-        let analysis = analyze(&trace, &catalog).unwrap();
+        let analysis = analyze_indexed(&trace.index(), &catalog).unwrap();
         let r = analysis.system(SystemId::new(19)).unwrap();
         assert_eq!(r.failures, 575);
         assert!((r.per_year - 575.0 / r.years).abs() < 1e-9);
@@ -187,7 +180,7 @@ mod tests {
     fn normalization_reduces_variability_on_synthetic_site() {
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let analysis = analyze(&trace, &catalog).unwrap();
+        let analysis = analyze_indexed(&trace.index(), &catalog).unwrap();
         let raw = analysis.raw_variability();
         let norm = analysis.normalized_variability();
         assert!(
@@ -206,7 +199,7 @@ mod tests {
         // (with 5 and 6 a bit elevated). C² within the type must be small.
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let analysis = analyze(&trace, &catalog).unwrap();
+        let analysis = analyze_indexed(&trace.index(), &catalog).unwrap();
         let e_var = analysis.within_type_variability(HardwareType::E);
         assert!(e_var < 0.6, "type E per-proc C² {e_var}");
         let f_var = analysis.within_type_variability(HardwareType::F);
@@ -220,7 +213,7 @@ mod tests {
         // stays within ~3x of the smallest's.
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let analysis = analyze(&trace, &catalog).unwrap();
+        let analysis = analyze_indexed(&trace.index(), &catalog).unwrap();
         let small = analysis.system(SystemId::new(12)).unwrap().per_proc_year; // 128 procs
         let big = analysis.system(SystemId::new(7)).unwrap().per_proc_year; // 4096 procs
         let ratio = big / small;

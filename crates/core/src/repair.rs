@@ -6,7 +6,7 @@
 //! system, showing a strong hardware-type effect and insensitivity to
 //! system size.
 
-use hpcfail_records::{Catalog, FailureTrace, HardwareType, RootCause, SystemId, TraceIndex};
+use hpcfail_records::{Catalog, HardwareType, RootCause, SystemId, TraceIndex};
 use hpcfail_stats::descriptive::{self, Summary};
 use hpcfail_stats::fit::{fit_paper_set_prepared, FitReport};
 use hpcfail_stats::prepared::PreparedSample;
@@ -40,21 +40,12 @@ impl RepairByCause {
 }
 
 /// Compute Table 2: repair-time statistics by root cause (in minutes).
+/// Each cause's repair times come straight off its posting list.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::InsufficientData`] for an empty trace; propagates
 /// summary errors.
-pub fn by_cause(trace: &FailureTrace) -> Result<RepairByCause, AnalysisError> {
-    by_cause_indexed(&trace.index())
-}
-
-/// [`by_cause`] off a prebuilt [`TraceIndex`]: each cause's repair times
-/// come straight off its posting list, no per-cause trace clones.
-///
-/// # Errors
-///
-/// Same as [`by_cause`].
 pub fn by_cause_indexed(index: &TraceIndex<'_>) -> Result<RepairByCause, AnalysisError> {
     if index.is_empty() {
         return Err(AnalysisError::InsufficientData {
@@ -95,16 +86,6 @@ pub fn by_cause_indexed(index: &TraceIndex<'_>) -> Result<RepairByCause, Analysi
 /// # Errors
 ///
 /// Propagates fitting errors (empty/degenerate samples).
-pub fn fit_all_repairs(trace: &FailureTrace) -> Result<FitReport, AnalysisError> {
-    let minutes = trace.downtimes_minutes();
-    Ok(fit_paper_set_prepared(&PreparedSample::from_vec(minutes)?)?)
-}
-
-/// [`fit_all_repairs`] off a prebuilt [`TraceIndex`].
-///
-/// # Errors
-///
-/// Propagates fitting errors (empty/degenerate samples).
 pub fn fit_all_repairs_indexed(index: &TraceIndex<'_>) -> Result<FitReport, AnalysisError> {
     let minutes = index.all().downtimes_minutes();
     Ok(fit_paper_set_prepared(&PreparedSample::from_vec(minutes)?)?)
@@ -126,14 +107,8 @@ pub struct SystemRepair {
 }
 
 /// Compute per-system mean/median repair times (Fig. 7(b)(c)). Systems
-/// with no records in the trace are omitted.
-pub fn by_system(trace: &FailureTrace, catalog: &Catalog) -> Vec<SystemRepair> {
-    by_system_indexed(&trace.index(), catalog)
-}
-
-/// [`by_system`] off a prebuilt [`TraceIndex`]: workers take borrowed
-/// per-system views of the shared index (it is `Sync`) instead of
-/// cloning a sub-trace each.
+/// with no records in the trace are omitted. Workers take borrowed
+/// per-system views of the shared index (it is `Sync`).
 pub fn by_system_indexed(index: &TraceIndex<'_>, catalog: &Catalog) -> Vec<SystemRepair> {
     // Each system's summary is independent of the others; fan out and
     // keep catalog order (the fan-out returns results at their input
@@ -198,22 +173,10 @@ pub fn type_effect(rows: &[SystemRepair]) -> TypeEffect {
 /// variable than that across all systems, which results in an improved
 /// (albeit still sub-optimal) exponential fit".
 ///
-/// # Errors
-///
-/// Propagates fitting errors (e.g. no records of that type).
-pub fn fit_type_repairs(
-    trace: &FailureTrace,
-    catalog: &Catalog,
-    hw: HardwareType,
-) -> Result<FitReport, AnalysisError> {
-    fit_type_repairs_indexed(&trace.index(), catalog, hw)
-}
-
-/// [`fit_type_repairs`] off a prebuilt [`TraceIndex`]. The type's
-/// systems interleave in time, and the fit's accumulation order is the
-/// trace order, so the view is a row scan over the system column — not
-/// a concatenation of per-system posting lists, which would reorder the
-/// sample.
+/// The type's systems interleave in time, and the fit's accumulation
+/// order is the trace order, so the view is a row scan over the system
+/// column — not a concatenation of per-system posting lists, which would
+/// reorder the sample.
 ///
 /// # Errors
 ///
@@ -240,6 +203,7 @@ pub struct TypeEffect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcfail_records::FailureTrace;
     use hpcfail_stats::fit::Family;
 
     fn site() -> FailureTrace {
@@ -249,16 +213,16 @@ mod tests {
     #[test]
     fn empty_trace_rejected() {
         assert!(matches!(
-            by_cause(&FailureTrace::new()),
+            by_cause_indexed(&FailureTrace::new().index()),
             Err(AnalysisError::InsufficientData { .. })
         ));
-        assert!(by_system(&FailureTrace::new(), &Catalog::lanl()).is_empty());
+        assert!(by_system_indexed(&FailureTrace::new().index(), &Catalog::lanl()).is_empty());
     }
 
     #[test]
     fn table2_medians_and_ordering() {
         let trace = site();
-        let table = by_cause(&trace).unwrap();
+        let table = by_cause_indexed(&trace.index()).unwrap();
         // All six causes present on the full site.
         assert_eq!(table.rows.len(), 6);
         // Environment is the slowest by mean (paper: 572 min)…
@@ -290,7 +254,7 @@ mod tests {
     #[test]
     fn fig7a_lognormal_wins_exponential_loses() {
         let trace = site();
-        let report = fit_all_repairs(&trace).unwrap();
+        let report = fit_all_repairs_indexed(&trace.index()).unwrap();
         assert_eq!(report.best().unwrap().family, Family::LogNormal);
         assert_eq!(report.rank_of(Family::Exponential), Some(3));
     }
@@ -298,7 +262,7 @@ mod tests {
     #[test]
     fn fig7bc_type_effect() {
         let trace = site();
-        let rows = by_system(&trace, &Catalog::lanl());
+        let rows = by_system_indexed(&trace.index(), &Catalog::lanl());
         assert!(rows.len() >= 20, "most systems have repairs");
         let effect = type_effect(&rows);
         // Across systems the spread is large (paper: <1 hour to >1 day)…
@@ -332,13 +296,14 @@ mod tests {
         // so the exponential's KS distance improves versus the all-systems
         // fit — while lognormal still wins (sub-optimal exponential).
         let trace = site();
+        let index = trace.index();
         let catalog = Catalog::lanl();
-        let all = fit_all_repairs(&trace).unwrap();
+        let all = fit_all_repairs_indexed(&index).unwrap();
         let all_exp_ks = all.candidate(Family::Exponential).unwrap().ks;
         let mut improved = 0;
         let mut compared = 0;
         for hw in [HardwareType::E, HardwareType::F, HardwareType::G] {
-            let within = fit_type_repairs(&trace, &catalog, hw).unwrap();
+            let within = fit_type_repairs_indexed(&index, &catalog, hw).unwrap();
             let exp_ks = within.candidate(Family::Exponential).unwrap().ks;
             compared += 1;
             if exp_ks < all_exp_ks {
@@ -362,7 +327,7 @@ mod tests {
         // Paper: the largest type-E systems (7, 8) are among the ones with
         // the *lowest* median repair times; size doesn't drive repair.
         let trace = site();
-        let rows = by_system(&trace, &Catalog::lanl());
+        let rows = by_system_indexed(&trace.index(), &Catalog::lanl());
         let medians: Vec<(u32, f64)> = rows
             .iter()
             .filter(|r| r.hardware == HardwareType::E)

@@ -113,12 +113,7 @@ pub struct RootCauseAnalysis {
 }
 
 /// Run the Fig. 1 analysis: group records by the hardware type of their
-/// system and compute count/downtime breakdowns.
-pub fn analyze(trace: &FailureTrace, catalog: &Catalog) -> RootCauseAnalysis {
-    analyze_indexed(&trace.index(), catalog)
-}
-
-/// [`analyze`] off a prebuilt [`TraceIndex`]: one pass over the
+/// system and compute count/downtime breakdowns. One pass over the
 /// system/cause/downtime columns produces per-system totals, which fold
 /// into hardware types with a single catalog lookup per system instead
 /// of one per record. All accumulation is integer, so the fold order
@@ -206,7 +201,7 @@ mod tests {
     #[test]
     fn per_type_grouping() {
         let catalog = Catalog::lanl();
-        let analysis = analyze(&mixed_trace(), &catalog);
+        let analysis = analyze_indexed(&mixed_trace().index(), &catalog);
         assert_eq!(analysis.by_type.len(), 2);
         let e = &analysis.by_type[&HardwareType::E];
         assert_eq!(e.total_failures(), 3);
@@ -219,7 +214,7 @@ mod tests {
     fn unknown_system_records_skipped_in_type_grouping() {
         let t = FailureTrace::from_records(vec![rec(99, 0, 1, DetailedCause::Memory)]);
         let catalog = Catalog::lanl();
-        let analysis = analyze(&t, &catalog);
+        let analysis = analyze_indexed(&t.index(), &catalog);
         assert!(analysis.by_type.is_empty());
         // …but still counted in the aggregate.
         assert_eq!(analysis.all.total_failures(), 1);

@@ -13,7 +13,7 @@
 //! * early era, system view: >30% of gaps are exactly zero (correlated
 //!   simultaneous failures) and no standard distribution fits.
 
-use hpcfail_records::{FailureTrace, NodeId, SystemId, Timestamp, TraceIndex};
+use hpcfail_records::{NodeId, SystemId, Timestamp, TraceIndex};
 use hpcfail_stats::descriptive;
 use hpcfail_stats::fit::{fit_paper_set_prepared, FitReport};
 use hpcfail_stats::prepared::PreparedSample;
@@ -75,7 +75,9 @@ impl TbfAnalysis {
 }
 
 /// Analyze the time between failures for a view, over an optional time
-/// window `[from, to)`.
+/// window `[from, to)`. Callers running several views/windows over one
+/// trace (the Fig. 6 grid) build the index once and fan the analyses off
+/// borrowed views.
 ///
 /// Fits are computed on the strictly positive gaps; the zero-gap
 /// fraction is reported separately (the paper's Fig. 6(c) finding is
@@ -85,21 +87,6 @@ impl TbfAnalysis {
 ///
 /// [`AnalysisError::InsufficientData`] when fewer than 30 gaps exist in
 /// the window; propagates fitting errors.
-pub fn analyze(
-    trace: &FailureTrace,
-    view: View,
-    window: Option<(Timestamp, Timestamp)>,
-) -> Result<TbfAnalysis, AnalysisError> {
-    analyze_indexed(&trace.index(), view, window)
-}
-
-/// [`analyze`] off a prebuilt [`TraceIndex`] — callers running several
-/// views/windows over one trace (the Fig. 6 grid) build the index once
-/// and fan the analyses off borrowed views instead of cloning per group.
-///
-/// # Errors
-///
-/// Same as [`analyze`].
 pub fn analyze_indexed(
     index: &TraceIndex<'_>,
     view: View,
@@ -170,19 +157,6 @@ pub fn analyze_indexed(
 ///
 /// [`AnalysisError::InsufficientData`] below 30 gaps; propagates
 /// Kaplan–Meier fitting errors.
-pub fn censored_gap_survival(
-    trace: &FailureTrace,
-    view: View,
-    window: (Timestamp, Timestamp),
-) -> Result<hpcfail_stats::survival::KaplanMeier, AnalysisError> {
-    censored_gap_survival_indexed(&trace.index(), view, window)
-}
-
-/// [`censored_gap_survival`] off a prebuilt [`TraceIndex`].
-///
-/// # Errors
-///
-/// Same as [`censored_gap_survival`].
 pub fn censored_gap_survival_indexed(
     index: &TraceIndex<'_>,
     view: View,
@@ -231,6 +205,7 @@ pub fn paper_era_split() -> ((Timestamp, Timestamp), (Timestamp, Timestamp)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcfail_records::FailureTrace;
     use hpcfail_stats::fit::Family;
 
     fn system20() -> FailureTrace {
@@ -241,7 +216,7 @@ mod tests {
     fn insufficient_data() {
         let t = FailureTrace::new();
         assert!(matches!(
-            analyze(&t, View::SystemWide(SystemId::new(20)), None),
+            analyze_indexed(&t.index(), View::SystemWide(SystemId::new(20)), None),
             Err(AnalysisError::InsufficientData { .. })
         ));
     }
@@ -250,7 +225,12 @@ mod tests {
     fn fig6d_system_wide_late_era() {
         let trace = system20();
         let (_, late) = paper_era_split();
-        let a = analyze(&trace, View::SystemWide(SystemId::new(20)), Some(late)).unwrap();
+        let a = analyze_indexed(
+            &trace.index(),
+            View::SystemWide(SystemId::new(20)),
+            Some(late),
+        )
+        .unwrap();
         // Weibull or gamma best; exponential worst (rank 3).
         let best = a.fits.best().unwrap().family;
         assert!(
@@ -278,7 +258,12 @@ mod tests {
     fn fig6c_system_wide_early_era_zero_gaps() {
         let trace = system20();
         let (early, _) = paper_era_split();
-        let a = analyze(&trace, View::SystemWide(SystemId::new(20)), Some(early)).unwrap();
+        let a = analyze_indexed(
+            &trace.index(),
+            View::SystemWide(SystemId::new(20)),
+            Some(early),
+        )
+        .unwrap();
         assert!(
             a.zero_fraction > 0.3,
             "paper: >30% simultaneous failures early; got {}",
@@ -292,8 +277,8 @@ mod tests {
         let trace = system20();
         let (_, late) = paper_era_split();
         // Node 22 is one of the busy graphics nodes — the paper's example.
-        let a = analyze(
-            &trace,
+        let a = analyze_indexed(
+            &trace.index(),
             View::Node(SystemId::new(20), NodeId::new(22)),
             Some(late),
         )
@@ -315,8 +300,8 @@ mod tests {
         // (the paper's best fit there), exponential clearly worst.
         let trace = system20();
         let (early, _) = paper_era_split();
-        let a = analyze(
-            &trace,
+        let a = analyze_indexed(
+            &trace.index(),
             View::Node(SystemId::new(20), NodeId::new(22)),
             Some(early),
         )
@@ -338,10 +323,11 @@ mod tests {
         // Fig 6(a) vs (b): C² 3.9 early vs 1.9 late at node 22. The ramping
         // failure rate makes early gaps more variable.
         let trace = system20();
+        let index = trace.index();
         let (early, late) = paper_era_split();
         let view = View::Node(SystemId::new(20), NodeId::new(22));
-        let a_early = analyze(&trace, view, Some(early)).unwrap();
-        let a_late = analyze(&trace, view, Some(late)).unwrap();
+        let a_early = analyze_indexed(&index, view, Some(early)).unwrap();
+        let a_late = analyze_indexed(&index, view, Some(late)).unwrap();
         assert!(
             a_early.c2 > 1.15 * a_late.c2,
             "early C² {} must clearly exceed late C² {}",
@@ -356,8 +342,10 @@ mod tests {
     #[test]
     fn pooled_nodes_has_more_data_than_single_node() {
         let trace = system20();
-        let single = analyze(&trace, View::Node(SystemId::new(20), NodeId::new(22)), None).unwrap();
-        let pooled = analyze(&trace, View::PooledNodes(SystemId::new(20)), None).unwrap();
+        let index = trace.index();
+        let single =
+            analyze_indexed(&index, View::Node(SystemId::new(20), NodeId::new(22)), None).unwrap();
+        let pooled = analyze_indexed(&index, View::PooledNodes(SystemId::new(20)), None).unwrap();
         assert!(pooled.n > single.n);
     }
 
@@ -366,10 +354,11 @@ mod tests {
         // With thousands of gaps, one censored tail observation barely
         // moves the curve: KM survival ≈ 1 − ECDF at interior points.
         let trace = system20();
+        let index = trace.index();
         let (_, late) = paper_era_split();
         let view = View::SystemWide(SystemId::new(20));
-        let km = censored_gap_survival(&trace, view, late).unwrap();
-        let a = analyze(&trace, view, Some(late)).unwrap();
+        let km = censored_gap_survival_indexed(&index, view, late).unwrap();
+        let a = analyze_indexed(&index, view, Some(late)).unwrap();
         let median_gap = a.mean_secs * 0.5;
         let s = km.survival(median_gap);
         assert!((0.0..=1.0).contains(&s));
@@ -388,7 +377,7 @@ mod tests {
         let t = FailureTrace::new();
         let (early, _) = paper_era_split();
         assert!(matches!(
-            censored_gap_survival(&t, View::SystemWide(SystemId::new(20)), early),
+            censored_gap_survival_indexed(&t.index(), View::SystemWide(SystemId::new(20)), early),
             Err(AnalysisError::InsufficientData { .. })
         ));
     }
@@ -421,7 +410,12 @@ mod tests {
             conditional > 1.1 * zero_frac,
             "P(0|0) = {conditional} vs unconditional {zero_frac}"
         );
-        let a = analyze(&trace, View::SystemWide(SystemId::new(20)), Some(early)).unwrap();
+        let a = analyze_indexed(
+            &trace.index(),
+            View::SystemWide(SystemId::new(20)),
+            Some(early),
+        )
+        .unwrap();
         let r = a.gap_autocorrelation.expect("estimable");
         assert!(r > -0.02, "lag-1 gap autocorrelation {r}");
     }
@@ -429,11 +423,12 @@ mod tests {
     #[test]
     fn window_filters_records() {
         let trace = system20();
+        let index = trace.index();
         let (early, late) = paper_era_split();
         let sys = View::SystemWide(SystemId::new(20));
-        let a_early = analyze(&trace, sys, Some(early)).unwrap();
-        let a_late = analyze(&trace, sys, Some(late)).unwrap();
-        let a_all = analyze(&trace, sys, None).unwrap();
+        let a_early = analyze_indexed(&index, sys, Some(early)).unwrap();
+        let a_late = analyze_indexed(&index, sys, Some(late)).unwrap();
+        let a_all = analyze_indexed(&index, sys, None).unwrap();
         assert!(a_all.n > a_early.n);
         assert!(a_all.n > a_late.n);
         // Mean gaps are positive and finite everywhere.

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use hpcfail_records::{Catalog, FailureTrace, NodeId, TraceIndex, Workload};
+use hpcfail_records::{Catalog, NodeId, TraceIndex, Workload};
 
 use crate::error::AnalysisError;
 
@@ -48,22 +48,13 @@ impl WorkloadAnalysis {
 
 /// Compute per-workload failure rates over all systems present in the
 /// trace. Exposure (node-years) comes from the catalog: each node counts
-/// toward the class the catalog assigns it.
+/// toward the class the catalog assigns it. Per-workload counts come from
+/// posting-list lengths and present systems from the system spans — no
+/// record scan at all.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::InsufficientData`] for an empty trace.
-pub fn analyze(trace: &FailureTrace, catalog: &Catalog) -> Result<WorkloadAnalysis, AnalysisError> {
-    analyze_indexed(&trace.index(), catalog)
-}
-
-/// [`analyze`] off a prebuilt [`TraceIndex`]: per-workload counts come
-/// from posting-list lengths and present systems from the system spans —
-/// no record scan at all.
-///
-/// # Errors
-///
-/// Same as [`analyze`].
 pub fn analyze_indexed(
     index: &TraceIndex<'_>,
     catalog: &Catalog,
@@ -118,21 +109,11 @@ pub fn analyze_indexed(
 /// same system's compute-node rate — the clean within-system comparison
 /// (the site-wide [`WorkloadAnalysis::multiplier_vs_compute`] conflates
 /// workload with system effects, since graphics nodes only exist on the
-/// busiest system).
+/// busiest system). Each system's per-workload counts come from counting
+/// over its borrowed view.
 ///
 /// Only systems hosting both the class and compute nodes, with at least
 /// 20 failures on each, are reported.
-pub fn within_system_multipliers(
-    trace: &FailureTrace,
-    catalog: &Catalog,
-    workload: Workload,
-) -> Vec<(hpcfail_records::SystemId, f64)> {
-    within_system_multipliers_indexed(&trace.index(), catalog, workload)
-}
-
-/// [`within_system_multipliers`] off a prebuilt [`TraceIndex`]: each
-/// system's per-workload counts come from counting over its borrowed
-/// view instead of two filtered clones per system.
 pub fn within_system_multipliers_indexed(
     index: &TraceIndex<'_>,
     catalog: &Catalog,
@@ -168,18 +149,18 @@ pub fn within_system_multipliers_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::SystemId;
+    use hpcfail_records::{FailureTrace, SystemId};
 
     #[test]
     fn empty_trace_rejected() {
-        assert!(analyze(&FailureTrace::new(), &Catalog::lanl()).is_err());
+        assert!(analyze_indexed(&FailureTrace::new().index(), &Catalog::lanl()).is_err());
     }
 
     #[test]
     fn graphics_and_frontend_fail_more_per_node() {
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let a = analyze(&trace, &catalog).unwrap();
+        let a = analyze_indexed(&trace.index(), &catalog).unwrap();
         // All three classes present at the site level.
         assert!(a.rate(Workload::Compute).is_some());
         assert!(a.rate(Workload::Graphics).is_some());
@@ -197,7 +178,8 @@ mod tests {
     fn within_system_multiplier_isolates_the_workload_effect() {
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::site_trace(42).unwrap();
-        let per_system = within_system_multipliers(&trace, &catalog, Workload::Graphics);
+        let index = trace.index();
+        let per_system = within_system_multipliers_indexed(&index, &catalog, Workload::Graphics);
         // Graphics nodes exist only on system 20.
         assert_eq!(per_system.len(), 1);
         let (sys, mult) = per_system[0];
@@ -206,7 +188,7 @@ mod tests {
         assert!((2.5..5.5).contains(&mult), "graphics multiplier {mult}");
         // Front-end nodes exist on many systems; their multipliers hover
         // around the configured 2.5x.
-        let fe = within_system_multipliers(&trace, &catalog, Workload::FrontEnd);
+        let fe = within_system_multipliers_indexed(&index, &catalog, Workload::FrontEnd);
         assert!(!fe.is_empty());
         for &(id, m) in &fe {
             assert!((1.0..6.0).contains(&m), "system {id}: fe multiplier {m}");
@@ -218,7 +200,7 @@ mod tests {
         // System 20: 46 compute + 3 graphics nodes over its production.
         let catalog = Catalog::lanl();
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(20), 42).unwrap();
-        let a = analyze(&trace, &catalog).unwrap();
+        let a = analyze_indexed(&trace.index(), &catalog).unwrap();
         let spec = catalog.system(SystemId::new(20)).unwrap();
         let g = a.rate(Workload::Graphics).unwrap();
         assert!((g.node_years - 3.0 * spec.production_years()).abs() < 1e-9);

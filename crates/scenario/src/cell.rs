@@ -271,7 +271,7 @@ fn evaluate_system(spec: &CampaignSpec, cell: &Cell, id: SystemId) -> Result<Cel
     let repair_median_min = median_repair_minutes(&windowed);
     let mean_repair_secs = (downtime_secs as f64 / failures as f64).max(1.0);
 
-    let analysis = tbf::analyze(&windowed, View::SystemWide(id), None)
+    let analysis = tbf::analyze_indexed(&windowed.index(), View::SystemWide(id), None)
         .map_err(|e| CellError::DegenerateFit(e.to_string()))?;
     let tbf_shape = analysis.weibull_shape.ok_or_else(|| {
         CellError::DegenerateFit("system-wide Weibull fit did not converge".into())

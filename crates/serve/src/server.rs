@@ -255,10 +255,28 @@ pub fn run(
 
 /// Answer a shed connection with `503` + `retry-after` and close. Write
 /// timeouts are short: a shed peer never gets to block the acceptor.
+///
+/// Closing a socket with unread input sends RST instead of FIN, and the
+/// RST can reach the peer before it has read the `503`. So the request
+/// bytes that have already arrived are discarded first (non-blocking,
+/// at most [`MAX_HEAD`]), and the response is followed by a FIN: a peer
+/// that has read the FIN sees end-of-stream even if a late RST follows.
 fn shed(mut stream: TcpStream, config: &ServeConfig) {
+    if stream.set_nonblocking(true).is_ok() {
+        let mut sink = [0u8; 4096];
+        let mut discarded = 0;
+        while discarded < MAX_HEAD {
+            match stream.read(&mut sink) {
+                Ok(n) if n > 0 => discarded += n,
+                _ => break,
+            }
+        }
+        let _ = stream.set_nonblocking(false);
+    }
     let _ = stream.set_write_timeout(Some(config.io_timeout.min(Duration::from_millis(250))));
     let resp = Response::overloaded(config.retry_after_secs, "server overloaded; retry");
     let _ = stream.write_all(&resp.to_bytes());
+    let _ = stream.shutdown(std::net::Shutdown::Write);
 }
 
 fn worker_loop(state: &AppState, queue: &Queue, shutdown: &AtomicBool, config: &ServeConfig) {
@@ -599,15 +617,25 @@ mod tests {
                 workers: Some(1),
                 queue_depth: 1,
                 max_in_flight: 1,
-                header_deadline: Duration::from_millis(300),
+                // Long enough that the holder cannot be reaped before
+                // the probe arrives, however slowly the host schedules.
+                header_deadline: Duration::from_secs(30),
+                request_deadline: Duration::from_secs(30),
                 ..ServeConfig::default()
             },
         )
         .unwrap();
         // Occupy the only worker with a connection that never finishes
-        // its head.
+        // its head, and wait until the acceptor has counted it in flight.
         let holder = TcpStream::connect(handle.addr()).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        let waited = Instant::now();
+        while state.metrics.accepted.load(Ordering::Relaxed) < 1 {
+            assert!(
+                waited.elapsed() < Duration::from_secs(5),
+                "holder connection was never accepted"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let reply = roundtrip(handle.addr(), "GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
         assert!(reply.contains("retry-after: 1"), "{reply}");

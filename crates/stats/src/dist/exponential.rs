@@ -159,55 +159,6 @@ impl Continuous for Exponential {
             })
             .sum::<f64>()
     }
-
-    // Batch kernels: `ln λ` hoisted once, the support test a select on an
-    // unconditionally computed body — same per-element operations as the
-    // scalar kernels, so every lane is bit-identical.
-
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let rate = self.rate;
-        super::map_chunked(xs, out, |x| {
-            let v = -(-rate * x).exp_m1();
-            if x <= 0.0 {
-                0.0
-            } else {
-                v
-            }
-        });
-    }
-
-    fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let rate = self.rate;
-        let ln_rate = rate.ln();
-        super::map_chunked(xs, out, |x| {
-            let v = ln_rate - rate * x;
-            if x < 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                v
-            }
-        });
-    }
-
-    fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let rate = self.rate;
-        let ln_rate = rate.ln();
-        super::map_chunked(xs, out, |x| {
-            let v = ln_rate - rate * x;
-            if x < 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                v
-            }
-            .exp()
-        });
-    }
-
-    fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
-        super::fill_unit_open(rng, out);
-        let rate = self.rate;
-        super::map_chunked_in_place(out, |u| -u.ln() / rate);
-    }
 }
 
 #[cfg(test)]

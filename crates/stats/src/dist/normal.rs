@@ -142,45 +142,6 @@ impl Continuous for Normal {
             })
             .sum::<f64>()
     }
-
-    // Batch kernels. The scalar kernels are already branch-free over the
-    // full real line, so the chunked loops only hoist `ln σ` and the
-    // normalising constant; every lane is bit-identical.
-
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let mean = self.mean;
-        let std_dev = self.std_dev;
-        super::map_chunked(xs, out, |x| standard_normal_cdf((x - mean) / std_dev));
-    }
-
-    fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let mean = self.mean;
-        let std_dev = self.std_dev;
-        let ln_sigma = std_dev.ln();
-        let half_ln_two_pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
-        super::map_chunked(xs, out, |x| {
-            let z = (x - mean) / std_dev;
-            -ln_sigma - half_ln_two_pi - 0.5 * z * z
-        });
-    }
-
-    fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let mean = self.mean;
-        let std_dev = self.std_dev;
-        let ln_sigma = std_dev.ln();
-        let half_ln_two_pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
-        super::map_chunked(xs, out, |x| {
-            let z = (x - mean) / std_dev;
-            (-ln_sigma - half_ln_two_pi - 0.5 * z * z).exp()
-        });
-    }
-
-    fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
-        super::fill_unit_open(rng, out);
-        let mean = self.mean;
-        let std_dev = self.std_dev;
-        super::map_chunked_in_place(out, |u| mean + std_dev * inverse_standard_normal_cdf(u));
-    }
 }
 
 #[cfg(test)]

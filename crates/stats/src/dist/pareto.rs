@@ -165,59 +165,6 @@ impl Continuous for Pareto {
         let u = unit_open(rng);
         self.x_min / u.powf(1.0 / self.alpha)
     }
-
-    // Batch kernels: `ln α + α ln x_m`, `α + 1` and `1/α` hoisted, the
-    // support test a select; per-element operations match the scalar
-    // kernels exactly, so every lane is bit-identical.
-
-    fn cdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let x_min = self.x_min;
-        let alpha = self.alpha;
-        super::map_chunked(xs, out, |x| {
-            let v = 1.0 - (x_min / x).powf(alpha);
-            if x <= x_min {
-                0.0
-            } else {
-                v
-            }
-        });
-    }
-
-    fn ln_pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let x_min = self.x_min;
-        let c = self.alpha.ln() + self.alpha * x_min.ln();
-        let alpha_p1 = self.alpha + 1.0;
-        super::map_chunked(xs, out, |x| {
-            let v = c - alpha_p1 * x.ln();
-            if x < x_min {
-                f64::NEG_INFINITY
-            } else {
-                v
-            }
-        });
-    }
-
-    fn pdf_batch(&self, xs: &[f64], out: &mut [f64]) {
-        let x_min = self.x_min;
-        let c = self.alpha.ln() + self.alpha * x_min.ln();
-        let alpha_p1 = self.alpha + 1.0;
-        super::map_chunked(xs, out, |x| {
-            let v = c - alpha_p1 * x.ln();
-            if x < x_min {
-                f64::NEG_INFINITY
-            } else {
-                v
-            }
-            .exp()
-        });
-    }
-
-    fn sample_batch(&self, rng: &mut dyn Rng, out: &mut [f64]) {
-        super::fill_unit_open(rng, out);
-        let x_min = self.x_min;
-        let inv_alpha = 1.0 / self.alpha;
-        super::map_chunked_in_place(out, |u| x_min / u.powf(inv_alpha));
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use crate::dist::{Continuous, Exponential, Gamma, LogNormal, Normal, Pareto, Weibull};
 use crate::error::StatsError;
-use crate::gof::ks_statistic_batch;
+use crate::gof::ks_statistic_sorted;
 use crate::prepared::PreparedSample;
 
 use serde::{Deserialize, Serialize};
@@ -262,11 +262,9 @@ pub fn fit_candidates(
 /// that fit the same data repeatedly (bootstrap, multi-criterion ranking)
 /// should prepare once and call this directly.
 ///
-/// This is a batch-kernel hot entry point: NLL goes through
-/// [`Continuous::nll_batch`] and KS through
-/// [`crate::gof::ks_statistic_batch`]. Both are bit-identical to the
-/// scalar defaults (`nll_prepared` / `ks_statistic_sorted`), which stay
-/// untouched as the repro reference — DESIGN.md §13.
+/// NLL goes through [`Continuous::nll_prepared`] and KS through
+/// [`ks_statistic_sorted`], so every figure is bit-identical to
+/// `nll(values)` and to the exhaustive KS scan.
 ///
 /// # Errors
 ///
@@ -289,11 +287,11 @@ pub fn fit_candidates_prepared(
     for &family in families {
         match family.fit_prepared(sample) {
             Ok(dist) => {
-                let nll = dist.nll_batch(sample);
+                let nll = dist.nll_prepared(sample);
                 let k = family.param_count() as f64;
                 let aic = 2.0 * k + 2.0 * nll;
                 let bic = k * (sample.len() as f64).ln() + 2.0 * nll;
-                let ks = ks_statistic_batch(sorted, dist.as_ref());
+                let ks = ks_statistic_sorted(sorted, dist.as_ref());
                 candidates.push(FittedCandidate {
                     family,
                     dist,

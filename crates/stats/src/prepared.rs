@@ -26,13 +26,6 @@
 //! monotone at the ULP level). Every fit, NLL and CI computed through a
 //! `PreparedSample` is therefore bit-identical to its slice-path
 //! counterpart — the property tests in `tests/proptests.rs` pin this.
-//!
-//! The invariant extends to the batch kernels (DESIGN.md §13):
-//! [`crate::dist::Continuous::nll_batch`] reads the same cached values
-//! and folds its chunked per-lane `ln_pdf` results left-to-right in data
-//! order, so `nll_batch` ≡ [`crate::dist::Continuous::nll_prepared`] ≡
-//! `nll` bitwise, and the batch-wired
-//! [`crate::fit::fit_candidates_prepared`] stays byte-reproducible.
 
 use crate::error::StatsError;
 use std::sync::OnceLock;

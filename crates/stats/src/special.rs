@@ -41,7 +41,7 @@ const LANCZOS_COEF: [f64; 9] = [
 ///
 /// # Edge cases
 ///
-/// Pinned by unit tests so the chunked batch path cannot drift:
+/// Pinned by unit tests:
 ///
 /// * `±0.0` and negative integers are poles → `NAN` (signals an invalid
 ///   distribution parameter rather than the `+∞` of the limit);
@@ -79,9 +79,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// The Lanczos main path of [`ln_gamma`], valid for finite `x ≥ 0.5`:
-/// a fixed-trip 8-term rational accumulation the chunked slice path can
-/// unroll. Shared by scalar and batch so the two are bit-identical by
-/// construction.
+/// a fixed-trip 8-term rational accumulation.
 #[inline]
 fn ln_gamma_lanczos(x: f64) -> f64 {
     let x = x - 1.0;
@@ -91,28 +89,6 @@ fn ln_gamma_lanczos(x: f64) -> f64 {
     }
     let t = x + LANCZOS_G + 0.5;
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
-}
-
-/// Chunked batch `ln Γ`: writes `ln_gamma(xs[i])` into `out[i]`.
-///
-/// Elements on the finite main domain `x ≥ 0.5` go through the
-/// fixed-trip Lanczos kernel inside bounds-check-free chunks; elements
-/// needing reflection, pole, or non-finite handling (`x < 0.5`, `±∞`,
-/// `NAN`) fall back to the scalar [`ln_gamma`] per element. Every output
-/// is bit-identical to the scalar function — the edge cases documented
-/// there are handled, not leaked into the chunk as NaNs.
-///
-/// # Panics
-///
-/// Panics if `xs.len() != out.len()`.
-pub fn ln_gamma_slice(xs: &[f64], out: &mut [f64]) {
-    crate::dist::map_chunked(xs, out, |x| {
-        if x >= 0.5 && x != f64::INFINITY {
-            ln_gamma_lanczos(x)
-        } else {
-            ln_gamma(x)
-        }
-    });
 }
 
 /// The gamma function `Γ(x)`.
@@ -215,9 +191,8 @@ pub fn erf(x: f64) -> f64 {
 ///
 /// # Edge cases
 ///
-/// The kernel is total over the extended reals, which is what lets the
-/// chunked [`erfc_slice`] stay branch-free (the final sign fold is a
-/// select): `erfc(±0.0) = 1` (both zero signs take the non-negative
+/// The kernel is total over the extended reals and branch-free apart
+/// from the final sign fold: `erfc(±0.0) = 1` (both zero signs take the non-negative
 /// fold), subnormals behave as `±0.0`, `erfc(+∞) = 0` exactly (the
 /// Chebyshev prefactor `t = 2/(2+|x|)` underflows to `0` and the
 /// exponential underflows with it — `0 · 0`, not `0 · ∞`),
@@ -226,32 +201,8 @@ pub fn erfc(x: f64) -> f64 {
     erfc_kernel(x)
 }
 
-/// Chunked batch `erf`: writes `erf(xs[i])` into `out[i]`, bit-identical
-/// to the scalar [`erf`]. One fixed-trip Chebyshev recurrence per lane —
-/// pure fused-free mul/add the autovectorizer can unroll — with the sign
-/// fold as a select, so the loop body is branch-free.
-///
-/// # Panics
-///
-/// Panics if `xs.len() != out.len()`.
-pub fn erf_slice(xs: &[f64], out: &mut [f64]) {
-    crate::dist::map_chunked(xs, out, |x| 1.0 - erfc_kernel(x));
-}
-
-/// Chunked batch `erfc`: writes `erfc(xs[i])` into `out[i]`,
-/// bit-identical to the scalar [`erfc`]. Same branch-free layout as
-/// [`erf_slice`].
-///
-/// # Panics
-///
-/// Panics if `xs.len() != out.len()`.
-pub fn erfc_slice(xs: &[f64], out: &mut [f64]) {
-    crate::dist::map_chunked(xs, out, erfc_kernel);
-}
-
-/// The shared per-element `erfc` kernel: total over the extended reals
-/// and branch-free apart from the final sign select, so both the scalar
-/// wrapper and the chunked slice path compile from the same operations.
+/// The per-element `erfc` kernel: total over the extended reals and
+/// branch-free apart from the final sign select.
 #[inline]
 fn erfc_kernel(x: f64) -> f64 {
     let z = x.abs();
@@ -399,16 +350,6 @@ pub fn inverse_standard_normal_cdf(p: f64) -> f64 {
     let e = 0.5 * erfc(-x / std::f64::consts::SQRT_2) - p;
     let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
     x - u / (1.0 + x * u / 2.0)
-}
-
-/// Chunked in-place batch `Φ⁻¹`: replaces each `ps[i]` with
-/// `inverse_standard_normal_cdf(ps[i])`, bit-identical to the scalar
-/// function (it applies the exact same kernel per lane; chunking only
-/// exposes independent lanes for instruction-level parallelism). This is
-/// the inverse-CDF leg of the synth generator's batch sampling path
-/// (DESIGN.md §13).
-pub fn inverse_standard_normal_cdf_slice(ps: &mut [f64]) {
-    crate::dist::map_chunked_in_place(ps, inverse_standard_normal_cdf);
 }
 
 /// Standard normal CDF `Φ(x)`.
@@ -773,48 +714,6 @@ mod tests {
         let v = ln_gamma(sub);
         assert!(v.is_finite() && v > 700.0, "ln_gamma({sub:e}) = {v}");
         assert_close(v, -sub.ln(), 1e-12);
-    }
-
-    #[test]
-    fn slice_paths_bit_identical_to_scalar() {
-        // Mixed bag spanning every edge case plus ordinary arguments, at
-        // lengths that cover empty, length-1, one full chunk, and a
-        // non-power-of-two remainder.
-        let pool: Vec<f64> = vec![
-            0.0,
-            -0.0,
-            f64::MIN_POSITIVE / 8.0,
-            -f64::MIN_POSITIVE,
-            1e-12,
-            0.25,
-            0.5,
-            1.0,
-            2.5,
-            17.0,
-            1e6,
-            -1.0,
-            -2.5,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            -0.75,
-        ];
-        for len in [0usize, 1, 7, 8, 9, 16, 17] {
-            let xs: Vec<f64> = (0..len).map(|i| pool[i % pool.len()]).collect();
-            let mut got = vec![0.0; len];
-            erf_slice(&xs, &mut got);
-            for (x, g) in xs.iter().zip(&got) {
-                assert_eq!(g.to_bits(), erf(*x).to_bits(), "erf({x})");
-            }
-            erfc_slice(&xs, &mut got);
-            for (x, g) in xs.iter().zip(&got) {
-                assert_eq!(g.to_bits(), erfc(*x).to_bits(), "erfc({x})");
-            }
-            ln_gamma_slice(&xs, &mut got);
-            for (x, g) in xs.iter().zip(&got) {
-                assert_eq!(g.to_bits(), ln_gamma(*x).to_bits(), "ln_gamma({x})");
-            }
-        }
     }
 
     #[test]

@@ -70,27 +70,6 @@ impl CauseMix {
         RootCause::ALL[i.min(5)]
     }
 
-    /// Fill `out` with sampled categories: uniforms are drawn in the
-    /// exact order a scalar [`CauseMix::sample`] loop would draw them,
-    /// then located in the cumulative table a chunk at a time, so both
-    /// the filled sequence and the final RNG state are identical to the
-    /// scalar loop (DESIGN.md §13). The split phases let the lookups run
-    /// branch-predictably over a register-resident table.
-    pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [RootCause]) {
-        const LANES: usize = 8;
-        let mut buf = [0.0f64; LANES];
-        for chunk in out.chunks_mut(LANES) {
-            let us = &mut buf[..chunk.len()];
-            for u in us.iter_mut() {
-                *u = rng.random();
-            }
-            for (slot, &u) in chunk.iter_mut().zip(us.iter()) {
-                let i = self.cum.partition_point(|&c| c <= u);
-                *slot = RootCause::ALL[i.min(5)];
-            }
-        }
-    }
-
     /// The Fig. 1(a)-calibrated mix for a hardware type.
     pub fn for_type(hw: HardwareType) -> Self {
         // (hardware, software, network, environment, human, unknown)

@@ -35,7 +35,7 @@ use hpcfail_records::{
     Catalog, FailureRecord, FailureTrace, NodeId, SystemId, SystemSpec, Timestamp,
 };
 use hpcfail_stats::dist::{Continuous, Weibull};
-use hpcfail_stats::special::ln_gamma;
+use hpcfail_stats::special::{inverse_standard_normal_cdf, ln_gamma};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -184,34 +184,22 @@ impl<'a> TraceGenerator<'a> {
         // nodes precede it in generation order. Graphics and front-end
         // multipliers already encode those nodes' deviation from the
         // fleet; only compute nodes get the lognormal heterogeneity draw
-        // (unit mean: exp(σZ − σ²/2)). The compute draws are collected
-        // first and pushed through the chunked inverse-CDF kernel in one
-        // batch (DESIGN.md §13); each node still takes exactly one draw
-        // from its own stream and the transform performs the scalar
-        // operations verbatim, so the weights are bit-identical to a
-        // per-node scalar transform.
+        // (unit mean: exp(σZ − σ²/2)).
         let node_count = spec.nodes();
         let sigma = config.node_heterogeneity_sigma;
+        let half_sigma_sq = sigma * sigma / 2.0;
         let mut weights: Vec<f64> = Vec::with_capacity(node_count as usize);
-        let mut compute_nodes: Vec<usize> = Vec::with_capacity(node_count as usize);
-        let mut zs: Vec<f64> = Vec::with_capacity(node_count as usize);
         for n in 0..node_count {
             let node = NodeId::new(n);
-            match spec.workload_of(node) {
-                hpcfail_records::Workload::Graphics => weights.push(config.graphics_multiplier),
-                hpcfail_records::Workload::FrontEnd => weights.push(config.frontend_multiplier),
+            weights.push(match spec.workload_of(node) {
+                hpcfail_records::Workload::Graphics => config.graphics_multiplier,
+                hpcfail_records::Workload::FrontEnd => config.frontend_multiplier,
                 hpcfail_records::Workload::Compute => {
                     let mut wrng = StdRng::seed_from_u64(streams.stream(2 * u64::from(n)));
-                    compute_nodes.push(weights.len());
-                    zs.push(crate::open_unit(&mut wrng));
-                    weights.push(0.0);
+                    let z = inverse_standard_normal_cdf(crate::open_unit(&mut wrng));
+                    (sigma * z - half_sigma_sq).exp()
                 }
-            }
-        }
-        hpcfail_stats::special::inverse_standard_normal_cdf_slice(&mut zs);
-        let half_sigma_sq = sigma * sigma / 2.0;
-        for (&slot, &z) in compute_nodes.iter().zip(&zs) {
-            weights[slot] = (sigma * z - half_sigma_sq).exp();
+            });
         }
         let weight_total: f64 = weights.iter().sum();
 

@@ -195,38 +195,6 @@ impl RepairModel {
         raw * RepairScale::for_type(hw).factor()
     }
 
-    /// Fill `out` with repair times in minutes for failures of one cause
-    /// on one hardware type. The pure-lognormal sampler (Environment)
-    /// goes through the distribution's batch inverse-CDF kernel
-    /// ([`Continuous::sample_batch`]); the heavy-tail mixture keeps a
-    /// scalar per-draw loop because its component selection consumes a
-    /// data-dependent number of uniforms. Either way uniforms are drawn
-    /// in the exact order a scalar [`RepairModel::sample_minutes`] loop
-    /// would draw them and the per-element arithmetic is unchanged, so
-    /// both the filled values and the final RNG state are identical to
-    /// the scalar loop (DESIGN.md §13).
-    pub fn sample_minutes_batch<R: Rng + ?Sized>(
-        &self,
-        cause: RootCause,
-        hw: HardwareType,
-        rng: &mut R,
-        out: &mut [f64],
-    ) {
-        let mut rng = rng;
-        match &self.samplers[cause.index()] {
-            CauseSampler::Pure(d) => d.sample_batch(&mut rng, out),
-            CauseSampler::HeavyTail(d) => {
-                for slot in out.iter_mut() {
-                    *slot = d.sample(&mut rng);
-                }
-            }
-        }
-        let factor = RepairScale::for_type(hw).factor();
-        for x in out.iter_mut() {
-            *x *= factor;
-        }
-    }
-
     /// The model's analytic mean (minutes) for a cause before the
     /// hardware-type scaling — should be close to the Table 2 mean.
     pub fn analytic_mean_minutes(&self, cause: RootCause) -> f64 {

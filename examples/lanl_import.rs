@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // conclusions; the tiny bundled sample will fail most of them, which
     // is itself the demonstration.
     let catalog = Catalog::lanl();
-    match findings::evaluate(&import.trace, &catalog) {
+    match findings::evaluate_indexed(&import.trace.index(), &catalog) {
         Ok(result) => {
             println!("\nSection-8 conclusions on this trace:");
             for f in &result.findings {

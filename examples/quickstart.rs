@@ -13,6 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    NUMA flagship the paper uses as its running example).
     let system = SystemId::new(20);
     let trace = hpcfail::synth::scenario::system_trace(system, 42)?;
+    let index = trace.index();
     println!(
         "generated {} failure records for system {system}",
         trace.len()
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Time between failures (paper Fig. 6(d)): Weibull with
     //    decreasing hazard wins, exponential loses.
     let (_, late) = tbf::paper_era_split();
-    let analysis = tbf::analyze(&trace, tbf::View::SystemWide(system), Some(late))?;
+    let analysis = tbf::analyze_indexed(&index, tbf::View::SystemWide(system), Some(late))?;
     println!("\nsystem-wide time between failures, 2000-2005:");
     println!("  gaps analyzed     {}", analysis.n);
     println!("  C^2               {:.2}", analysis.c2);
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Repair times (paper Table 2 / Fig. 7(a)): lognormal best.
-    let report = repair::fit_all_repairs(&trace)?;
+    let report = repair::fit_all_repairs_indexed(&index)?;
     let best = report.best().expect("fits available");
     println!(
         "\nrepair-time best fit: {} (paper: lognormal)",

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: build, full test suite, then prove the determinism contract
+# CI gate: build, full test suite, build and test the repo benchmark
+# (perfbench/), then prove the determinism contract
 # end-to-end by diffing repro output between a serial (HPCFAIL_THREADS=1)
 # and a parallel (HPCFAIL_THREADS=8) run, smoke-run the fit and trace
 # benchmark suites, and check the recorded bench numbers parse.
@@ -12,6 +13,14 @@ cargo build --workspace --release
 
 echo "==> cargo test --workspace (release)"
 cargo test --workspace --release -q
+
+# The repo benchmark (BENCHMARK.json) is a separate cargo package that
+# drives the crates' public API: build and test it here so an API change
+# that breaks it fails CI rather than the benchmark run. `--locked`
+# refuses to rewrite its tracked Cargo.lock.
+echo "==> perfbench build + tests (repo benchmark against the current API)"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> determinism suite, HPCFAIL_THREADS=1"
 HPCFAIL_THREADS=1 cargo test --release -q -p hpcfail --test parallel_determinism
@@ -33,9 +42,9 @@ echo "OK: repro output byte-identical across worker counts"
 echo "==> repro output vs committed experiments/repro_output.txt"
 if ! diff -u experiments/repro_output.txt "$tmpdir/repro_t1.txt"; then
     echo "FAIL: fresh repro run differs from the committed golden output." >&2
-    echo "      The batch kernels (DESIGN.md §13) and every other fit-path" >&2
-    echo "      change must stay bit-identical; if a drift is intentional," >&2
-    echo "      re-record with: cargo run --release -p hpcfail-bench --bin repro" >&2
+    echo "      Every fit-path change must stay bit-identical; if a drift is" >&2
+    echo "      intentional, re-record with:" >&2
+    echo "      cargo run --release -p hpcfail-bench --bin repro" >&2
     exit 1
 fi
 echo "OK: fresh repro output byte-identical to the committed golden"
@@ -366,24 +375,17 @@ with open("experiments/BENCH_fit.json") as f:
 ratio = doc["groups"]["paper_set_rank"]["speedup_at_1e5"]["kernel_vs_legacy"]
 assert ratio >= 2.0, f"paper-set ranking speedup regressed below 2x: {ratio}"
 
-# Batch distribution kernels (DESIGN.md §13): the scalar-vs-batch rows
-# must be present for every size, and batch KS at n=1e5 must hold the
-# 1.5x floor over the scalar exhaustive scan.
-ks = doc["groups"]["batch_ks"]["results"]
-for variant in ("scalar_exhaustive", "branch_bound", "batch"):
+# KS scaling: both rows must be present for every size, and the
+# branch-and-bound KS the fit path runs must hold the 1.5x floor over
+# the exhaustive scan at n=1e5.
+ks = doc["groups"]["ks"]["results"]
+for variant in ("scalar_exhaustive", "branch_bound"):
     for n in ("10000", "100000", "1000000"):
-        assert ks[variant][n] > 0, f"batch_ks/{variant}/{n} missing or bad"
-nll = doc["groups"]["batch_nll"]["results"]
-for variant in ("prepared", "batch"):
-    for n in ("10000", "100000", "1000000"):
-        assert nll[variant][n] > 0, f"batch_nll/{variant}/{n} missing or bad"
-sampling = doc["groups"]["batch_sampling"]["results"]
-for variant in ("scalar_1e6", "batch_1e6"):
-    assert sampling[variant] > 0, f"batch_sampling/{variant} missing or bad"
-batch_ks = doc["groups"]["batch_ks"]["speedup_at_1e5"]["batch_vs_scalar"]
-assert batch_ks >= 1.5, f"batch KS speedup at 1e5 below the 1.5x floor: {batch_ks}"
+        assert ks[variant][n] > 0, f"ks/{variant}/{n} missing or bad"
+bb_ks = doc["groups"]["ks"]["speedup_at_1e5"]["branch_bound_vs_scalar"]
+assert bb_ks >= 1.5, f"branch-and-bound KS speedup at 1e5 below the 1.5x floor: {bb_ks}"
 print(f"OK: BENCH_fit.json parses; recorded paper-set speedup at 1e5 = {ratio}x, "
-      f"batch-KS speedup at 1e5 = {batch_ks}x")
+      f"branch-and-bound KS speedup at 1e5 = {bb_ks}x")
 EOF
 else
     grep -q '"kernel_vs_legacy"' experiments/BENCH_fit.json

@@ -88,7 +88,8 @@ fn ablation4_clustering_is_load_bearing() {
         .build_system(sys)
         .unwrap();
     let analyze = |trace: &FailureTrace| {
-        let a = tbf::analyze(trace, tbf::View::SystemWide(sys), Some(late)).unwrap();
+        let a =
+            tbf::analyze_indexed(&trace.index(), tbf::View::SystemWide(sys), Some(late)).unwrap();
         let best = a.fits.best().map(|c| c.nll).unwrap();
         let exp = a
             .fits

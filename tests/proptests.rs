@@ -406,7 +406,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Batch distribution kernels: bit-identity with the scalar paths
+// Fit-path kernels: bit-identity with the reference scans
 // ---------------------------------------------------------------------
 
 /// One instance of each of the six continuous families, parameterized
@@ -427,67 +427,38 @@ fn all_six_families(a: f64, b: f64) -> Vec<Box<dyn Continuous>> {
 }
 
 proptest! {
-    /// Every batch kernel must reproduce its scalar counterpart to the
-    /// last bit, element-wise, on arbitrary-length inputs (empty,
-    /// length 1, and non-power-of-two remainders all arise here) that
-    /// straddle the support boundaries.
+    /// `fit_candidates_prepared` must report, for every family, exactly
+    /// the slice NLL and the sorted-view KS of the fitted distribution —
+    /// the figures `experiments/repro_output.txt` is built from.
     #[test]
-    fn batch_kernels_are_bit_identical_to_scalar(
-        a in positive_param(),
-        b in positive_param(),
-        data in prop::collection::vec(-1e6f64..1e6, 0..90),
-        with_edges in prop::bool::ANY,
-    ) {
-        let mut data = data;
-        if with_edges {
-            // Support boundaries and a subnormal, to force every select.
-            data.extend_from_slice(&[0.0, -0.0, f64::MIN_POSITIVE / 8.0]);
-        }
-        let mut out = vec![0.0f64; data.len()];
-        for d in all_six_families(a, b) {
-            d.cdf_batch(&data, &mut out);
-            for (&x, &v) in data.iter().zip(&out) {
-                prop_assert!(f64_identical(v, d.cdf(x)), "{} cdf({x})", d.name());
-            }
-            d.ln_pdf_batch(&data, &mut out);
-            for (&x, &v) in data.iter().zip(&out) {
-                prop_assert!(f64_identical(v, d.ln_pdf(x)), "{} ln_pdf({x})", d.name());
-            }
-            d.pdf_batch(&data, &mut out);
-            for (&x, &v) in data.iter().zip(&out) {
-                prop_assert!(f64_identical(v, d.pdf(x)), "{} pdf({x})", d.name());
-            }
-        }
-    }
-
-    /// The chunked `nll_batch` reduction must agree with the prepared
-    /// and slice NLL paths bitwise — this is what keeps the batch-wired
-    /// `fit_candidates_prepared` byte-reproducible.
-    #[test]
-    fn nll_batch_matches_prepared_and_slice_nll_bitwise(
+    fn fit_candidates_match_scalar_nll_and_ks_bitwise(
         data in prop::collection::vec(0.001f64..1e6, 2..120),
     ) {
+        use hpcfail::stats::gof::ks_statistic_sorted;
         let ps = PreparedSample::new(&data).unwrap();
-        for family in Family::ALL {
-            if let Ok(d) = family.fit_prepared(&ps) {
-                let batch = d.nll_batch(&ps);
-                prop_assert_eq!(batch.to_bits(), d.nll_prepared(&ps).to_bits());
-                prop_assert_eq!(batch.to_bits(), d.nll(&data).to_bits());
-            }
+        let report =
+            fit_candidates_prepared(&ps, &Family::ALL, Criterion::NegLogLikelihood).unwrap();
+        prop_assert_eq!(report.candidates.len() + report.failures.len(), Family::ALL.len());
+        for c in &report.candidates {
+            let d = c.dist.as_ref();
+            prop_assert!(c.nll.to_bits() == d.nll(&data).to_bits(), "{} nll", d.name());
+            prop_assert!(
+                c.ks.to_bits() == ks_statistic_sorted(ps.sorted(), d).to_bits(),
+                "{} ks",
+                d.name()
+            );
         }
     }
 
-    /// The level-batched branch-and-bound KS must agree bitwise with
-    /// both the scalar branch-and-bound and an exhaustive per-point
-    /// scan, for every family (the sizes here stay under the full-scan
-    /// threshold; `gof.rs` unit tests cover the level-batched regime).
+    /// The branch-and-bound KS must agree bitwise with an exhaustive
+    /// per-point scan, for every family.
     #[test]
-    fn batch_ks_matches_exhaustive_scalar_ks_bitwise(
+    fn sorted_ks_matches_exhaustive_scan_bitwise(
         a in positive_param(),
         b in positive_param(),
         data in prop::collection::vec(0.001f64..1e6, 1..120),
     ) {
-        use hpcfail::stats::gof::{ks_statistic_batch, ks_statistic_sorted};
+        use hpcfail::stats::gof::ks_statistic_sorted;
         let mut sorted = data;
         sorted.sort_unstable_by(f64::total_cmp);
         let n = sorted.len() as f64;
@@ -502,81 +473,8 @@ proptest! {
                     upper.abs().max(lower.abs())
                 })
                 .fold(0.0f64, f64::max);
-            let batch = ks_statistic_batch(&sorted, d.as_ref());
-            prop_assert!(batch.to_bits() == exhaustive.to_bits(), "{}", d.name());
-            prop_assert!(
-                batch.to_bits() == ks_statistic_sorted(&sorted, d.as_ref()).to_bits(),
-                "{}",
-                d.name()
-            );
-        }
-    }
-
-    /// Batch sampling must produce the same draws AND leave the RNG in
-    /// the same state as a scalar sampling loop (the gamma exercises the
-    /// default scalar-loop fallback; the other five the block-uniform
-    /// inverse-CDF path).
-    #[test]
-    fn sample_batch_matches_scalar_loop_and_stream(
-        a in positive_param(),
-        b in positive_param(),
-        n in 0usize..70,
-        seed in 0u64..1_000,
-    ) {
-        use rand::{RngExt, SeedableRng};
-        for d in all_six_families(a, b) {
-            let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut batch_rng = scalar_rng.clone();
-            let scalar: Vec<f64> = (0..n).map(|_| d.sample(&mut scalar_rng)).collect();
-            let mut batch = vec![0.0f64; n];
-            d.sample_batch(&mut batch_rng, &mut batch);
-            for (&s, &v) in scalar.iter().zip(&batch) {
-                prop_assert!(f64_identical(v, s), "{}", d.name());
-            }
-            prop_assert!(
-                scalar_rng.random::<u64>() == batch_rng.random::<u64>(),
-                "{}: RNG stream diverged",
-                d.name()
-            );
-        }
-    }
-
-    /// The synth batch entries (root-cause mix and repair times) must
-    /// reproduce their scalar loops draw-for-draw with the same final
-    /// RNG state.
-    #[test]
-    fn synth_batch_sampling_matches_scalar_loops(
-        hw_index in 0usize..hpcfail::records::HardwareType::ALL.len(),
-        n in 0usize..60,
-        seed in 0u64..1_000,
-    ) {
-        use hpcfail::synth::causes::CauseMix;
-        use hpcfail::synth::repair::RepairModel;
-        use rand::{RngExt, SeedableRng};
-        let hw = hpcfail::records::HardwareType::ALL[hw_index];
-
-        let mix = CauseMix::for_type(hw);
-        let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut batch_rng = scalar_rng.clone();
-        let scalar: Vec<RootCause> = (0..n).map(|_| mix.sample(&mut scalar_rng)).collect();
-        let mut batch = vec![RootCause::Unknown; n];
-        mix.sample_batch(&mut batch_rng, &mut batch);
-        prop_assert_eq!(&scalar, &batch);
-        prop_assert_eq!(scalar_rng.random::<u64>(), batch_rng.random::<u64>());
-
-        let model = RepairModel::table2().unwrap();
-        for cause in RootCause::ALL {
-            let mut scalar_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9e37);
-            let mut batch_rng = scalar_rng.clone();
-            let scalar: Vec<f64> = (0..n)
-                .map(|_| model.sample_minutes(cause, hw, &mut scalar_rng))
-                .collect();
-            let mut batch = vec![0.0f64; n];
-            model.sample_minutes_batch(cause, hw, &mut batch_rng, &mut batch);
-            for (&s, &v) in scalar.iter().zip(&batch) {
-                prop_assert!(f64_identical(v, s), "{cause} on {hw}");
-            }
-            prop_assert_eq!(scalar_rng.random::<u64>(), batch_rng.random::<u64>());
+            let pruned = ks_statistic_sorted(&sorted, d.as_ref());
+            prop_assert!(pruned.to_bits() == exhaustive.to_bits(), "{}", d.name());
         }
     }
 }

@@ -210,10 +210,10 @@ fn replayed_load_plan_meets_the_hit_rate_floor() {
 }
 
 /// The canonical rendering of `GET /v1/synth/tbf?view=pooled` against
-/// the seeded scenario trace (system 20, seed 42), captured before the
-/// batch distribution kernels were wired under the fit path. The batch
-/// NLL/KS evaluation is required to be bit-identical to the scalar path
-/// it replaced (DESIGN.md §13); any drift shows up here as a byte diff.
+/// the seeded scenario trace (system 20, seed 42), captured with the
+/// scalar NLL and KS kernels on the fit path. Every change to that path
+/// must reproduce it bit for bit; any drift shows up here as a byte
+/// diff.
 const GOLDEN_TBF_POOLED: &str = r#"{"view":{"kind":"pooled","system":20},"n":6044,"zero_fraction":0.002316346790205162,"c2":5.670990772744735,"mean_secs":2125488.050414594,"weibull_shape":0.46953017689963433,"hazard_trend":"decreasing","decreasing_hazard":true,"dominated_by_simultaneity":false,"gap_autocorrelation":0.058660330046631966,"fits":{"n":6030,"best":"weibull","candidates":[{"family":"weibull","nll":89836.00378367912,"aic":179676.00756735823,"bic":179689.41657193768,"ks":0.06152162592518379},{"family":"gamma","nll":89923.12314674802,"aic":179850.24629349605,"bic":179863.6552980755,"ks":0.05624088659347409},{"family":"lognormal","nll":90232.5305809366,"aic":180469.0611618732,"bic":180482.47016645264,"ks":0.10760163704225367},{"family":"exponential","nll":93884.15738866471,"aic":187770.31477732942,"bic":187777.01927961913,"ks":0.28804045674914863}],"failed":[]}}"#;
 
 #[test]
