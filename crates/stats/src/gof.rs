@@ -222,13 +222,40 @@ mod tests {
 
     #[test]
     fn pruned_ks_matches_exhaustive_scan_bitwise() {
+        use crate::dist::{Gamma, LogNormal};
+        let truth = Weibull::new(0.75, 86_400.0).unwrap();
+        for (seed, n) in [(1u64, 3usize), (2, 10), (7, 1_000), (42, 20_000)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut data = sample_n(&truth, n, &mut rng);
+            data.sort_unstable_by(f64::total_cmp);
+            let models: Vec<Box<dyn Continuous>> = vec![
+                Box::new(truth),
+                Box::new(Exponential::from_mean(truth.mean()).unwrap()),
+                Box::new(Gamma::new(0.8, 100_000.0).unwrap()),
+                Box::new(LogNormal::new(10.0, 1.5).unwrap()),
+            ];
+            for model in &models {
+                let pruned = ks_statistic_sorted(&data, model.as_ref());
+                let full = ks_exhaustive(&data, model.as_ref());
+                assert_eq!(
+                    pruned.to_bits(),
+                    full.to_bits(),
+                    "seed {seed} n {n}: pruned {pruned} != exhaustive {full}"
+                );
+            }
+        }
+    }
+
+    /// The fit path scores the whole batch of six candidate families
+    /// against one sorted sample with [`ks_statistic_sorted`]; every
+    /// family must agree with the exhaustive scan to the bit, on sizes
+    /// from a single point up past 2048 and on the empty sample.
+    #[test]
+    fn batch_ks_matches_exhaustive_scan_bitwise_for_all_six_families() {
         use crate::dist::{Gamma, LogNormal, Normal, Pareto};
         let truth = Weibull::new(0.75, 86_400.0).unwrap();
-        // Sizes from a single point up past 2048 so the pruning runs on
-        // trees of every depth the fit path meets.
         for (seed, n) in [
             (1u64, 1usize),
-            (1, 3),
             (2, 10),
             (3, 64),
             (5, 65),
