@@ -59,6 +59,21 @@ if ! diff -u experiments/repro_output.txt "$tmpdir/repro_packed.txt"; then
 fi
 echo "OK: repro --packed (pack -> checked load) byte-identical to the golden"
 
+echo "==> example outputs vs committed experiments/example_*.txt"
+for example in checkpoint_planning lanl_import quickstart reliability_scheduling \
+    trace_analysis what_if_scenarios; do
+    HPCFAIL_THREADS=1 cargo run --release -q -p hpcfail --example "$example" \
+        > "$tmpdir/example_$example.txt"
+    if ! diff -u "experiments/example_$example.txt" "$tmpdir/example_$example.txt"; then
+        echo "FAIL: example $example differs from experiments/example_$example.txt." >&2
+        echo "      If the change is intentional, re-record with:" >&2
+        echo "      HPCFAIL_THREADS=1 cargo run --release -q -p hpcfail --example $example \\" >&2
+        echo "          > experiments/example_$example.txt" >&2
+        exit 1
+    fi
+done
+echo "OK: all six example outputs byte-identical to their committed files"
+
 echo "==> ingest robustness suite (corruptor sweep, conservation, repair idempotence)"
 cargo test --release -q -p hpcfail --test ingest_robustness
 
