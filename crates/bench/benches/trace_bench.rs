@@ -3,9 +3,10 @@
 //! records.
 //!
 //! The `legacy` module freezes the exact algorithms the repo shipped
-//! before the index existed (verbatim from the pre-index
-//! `crates/records/src/trace.rs`), expressed through the still-public
-//! clone-based `FailureTrace::filter` API:
+//! before the index existed (from the pre-index
+//! `crates/records/src/trace.rs`), expressed through a private
+//! scan-and-copy `filter` that stands in for the owned
+//! `FailureTrace::filter` those paths used:
 //!
 //! * per-node TBF extraction = one full-trace `filter` clone per node,
 //! * pooled per-node gaps = system clone + `BTreeMap` last-seen walk,
@@ -64,6 +65,23 @@ mod legacy {
     use super::*;
     use std::collections::BTreeMap;
 
+    /// The old owned `FailureTrace::filter`: a full scan copying every
+    /// kept record into a new vector, order preserved.
+    fn filter(trace: &FailureTrace, pred: impl Fn(&FailureRecord) -> bool) -> Vec<FailureRecord> {
+        trace.iter().filter(|r| pred(r)).copied().collect()
+    }
+
+    /// The old owned `interarrival_secs`: gaps between consecutive
+    /// starts, `None` below two records.
+    fn interarrival_secs(records: &[FailureRecord]) -> Option<Vec<f64>> {
+        (records.len() >= 2).then(|| {
+            records
+                .windows(2)
+                .map(|w| (w[1].start() - w[0].start()) as f64)
+                .collect()
+        })
+    }
+
     /// Pre-index per-node TBF extraction: one O(n) filter clone of the
     /// *entire* trace per node (the pattern per-node analysis used before
     /// the index).
@@ -71,8 +89,8 @@ mod legacy {
         (0..NODES)
             .map(|n| {
                 let node_trace =
-                    trace.filter(|r| r.system() == system && r.node() == NodeId::new(n));
-                node_trace.interarrival_secs().map_or(0, |g| g.len())
+                    filter(trace, |r| r.system() == system && r.node() == NodeId::new(n));
+                interarrival_secs(&node_trace).map_or(0, |g| g.len())
             })
             .collect()
     }
@@ -81,10 +99,10 @@ mod legacy {
     /// a `BTreeMap` of last-seen timestamps (verbatim old
     /// `per_node_interarrival_secs`).
     pub fn pooled_per_node_gaps(trace: &FailureTrace, system: SystemId) -> Vec<f64> {
-        let sys = trace.filter(|r| r.system() == system);
+        let sys = filter(trace, |r| r.system() == system);
         let mut last_seen: BTreeMap<(SystemId, NodeId), Timestamp> = BTreeMap::new();
         let mut gaps = Vec::new();
-        for r in sys.records() {
+        for r in &sys {
             if let Some(prev) = last_seen.insert((r.system(), r.node()), r.start()) {
                 gaps.push((r.start() - prev) as f64);
             }
@@ -97,13 +115,18 @@ mod legacy {
     pub fn repair_minutes_by_cause(trace: &FailureTrace) -> Vec<Vec<f64>> {
         RootCause::ALL
             .iter()
-            .map(|&c| trace.filter(|r| r.cause() == c).downtimes_minutes())
+            .map(|&c| {
+                filter(trace, |r| r.cause() == c)
+                    .iter()
+                    .map(|r| r.downtime_minutes())
+                    .collect()
+            })
             .collect()
     }
 
-    /// Verbatim old `filter_window`: linear predicate scan with a clone.
-    pub fn filter_window(trace: &FailureTrace, from: Timestamp, to: Timestamp) -> FailureTrace {
-        trace.filter(|r| r.start() >= from && r.start() < to)
+    /// Old `filter_window`: linear predicate scan with a clone.
+    pub fn filter_window(trace: &FailureTrace, from: Timestamp, to: Timestamp) -> Vec<FailureRecord> {
+        filter(trace, |r| r.start() >= from && r.start() < to)
     }
 
     /// Verbatim old `merge` semantics: concatenate then re-sort the

@@ -236,7 +236,7 @@ fn fig1(ctx: &Ctx, idx: &TraceIndex<'_>) -> Result<(), String> {
         println!("{}", t.render());
     }
     println!("detailed causes across all systems (top 6):");
-    for (cause, frac) in rootcause::detailed_fractions(&ctx.site).into_iter().take(6) {
+    for (cause, frac) in rootcause::detailed_fractions(&idx.all()).into_iter().take(6) {
         println!("  {cause:<18} {}", fmt_pct(frac));
     }
     Ok(())
@@ -436,7 +436,7 @@ fn fig6(ctx: &Ctx, idx: &TraceIndex<'_>) -> Result<(), String> {
             late,
         ),
     ];
-    if let Some((peak, at)) = hpcfail_records::intervals::peak_concurrent_outages(&ctx.site, sys) {
+    if let Some((peak, at)) = hpcfail_records::intervals::peak_concurrent_outages(&idx.system(sys)) {
         println!("peak concurrent node outages: {peak} (at {at})");
     }
     for (label, view, window) in cases {
@@ -676,8 +676,8 @@ fn workload_report(ctx: &Ctx, idx: &TraceIndex<'_>) -> Result<(), String> {
 }
 
 /// Derived: burstiness of daily failure counts.
-fn daily_report(ctx: &Ctx, _idx: &TraceIndex<'_>) -> Result<(), String> {
-    let a = daily::analyze(&ctx.site).map_err(|e| format!("daily counts: {e}"))?;
+fn daily_report(ctx: &Ctx, idx: &TraceIndex<'_>) -> Result<(), String> {
+    let a = daily::analyze(&idx.all()).map_err(|e| format!("daily counts: {e}"))?;
     println!(
         "days {}; mean {:.2} failures/day; dispersion index {:.2} (Poisson = 1); \
          lag-1 autocorrelation {:.2}",

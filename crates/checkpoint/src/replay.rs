@@ -1,10 +1,10 @@
 //! Trace-driven checkpoint simulation: run a job against the *actual*
-//! failure timeline of a node from a [`FailureTrace`], rather than a
+//! failure timeline of a node from an indexed failure trace, rather than a
 //! fitted distribution. This is the strongest validation a site can do —
 //! "had we run this job on node X starting at time T with interval τ,
 //! what would have happened?"
 
-use hpcfail_records::{FailureTrace, NodeId, SystemId, Timestamp, TraceIndex};
+use hpcfail_records::{NodeId, SystemId, Timestamp, TraceIndex};
 
 use crate::error::CheckpointError;
 use crate::sim::{JobConfig, SimOutcome};
@@ -18,20 +18,9 @@ pub struct NodeTimeline {
 }
 
 impl NodeTimeline {
-    /// Extract a node's timeline from a trace (one filtered pass, no
-    /// intermediate trace clone).
-    pub fn from_trace(trace: &FailureTrace, system: SystemId, node: NodeId) -> Self {
-        let events = trace
-            .iter()
-            .filter(|r| r.system() == system && r.node() == node)
-            .map(|r| (r.start().as_secs(), r.end().as_secs()))
-            .collect();
-        NodeTimeline { events }
-    }
-
-    /// [`NodeTimeline::from_trace`] off a prebuilt [`TraceIndex`] — the
-    /// node's records are one contiguous run slice, so replaying every
-    /// node of a system touches each record exactly once overall.
+    /// Extract a node's timeline from an indexed trace — the node's
+    /// records are one contiguous run slice, so replaying every node of a
+    /// system touches each record exactly once overall.
     pub fn from_index(index: &TraceIndex<'_>, system: SystemId, node: NodeId) -> Self {
         let events = index
             .node(system, node)
@@ -223,7 +212,7 @@ mod tests {
     #[test]
     fn replay_against_synthetic_node_history() {
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(20), 42).unwrap();
-        let timeline = NodeTimeline::from_trace(&trace, SystemId::new(20), NodeId::new(22));
+        let timeline = NodeTimeline::from_index(&trace.index(), SystemId::new(20), NodeId::new(22));
         assert!(timeline.len() > 100, "graphics node has a rich history");
         let spec_start = Timestamp::from_civil(1999, 1, 1, 0, 0, 0).unwrap();
         let strategy = Periodic::new(6.0 * 3_600.0).unwrap();
@@ -248,7 +237,7 @@ mod tests {
     #[test]
     fn denser_checkpoints_lose_less_on_failure_heavy_history() {
         let trace = hpcfail_synth::scenario::system_trace(SystemId::new(20), 42).unwrap();
-        let timeline = NodeTimeline::from_trace(&trace, SystemId::new(20), NodeId::new(22));
+        let timeline = NodeTimeline::from_index(&trace.index(), SystemId::new(20), NodeId::new(22));
         let start = Timestamp::from_civil(1998, 1, 1, 0, 0, 0).unwrap();
         let j = JobConfig {
             total_work_secs: 60.0 * 86_400.0,

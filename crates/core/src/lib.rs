@@ -20,16 +20,22 @@
 //! | [`findings`] | the Section-8 conclusions, checked programmatically |
 //! | [`report`] | plain-text rendering for the experiment harness |
 //!
+//! Every analysis reads a [`hpcfail_records::TraceIndex`] (or a view of
+//! one): build it once per trace with `trace.index()` and pass it to as
+//! many analyses as needed.
+//!
 //! ```
-//! use hpcfail_core::{rootcause, repair};
+//! use hpcfail_core::{rates, rootcause};
 //! use hpcfail_records::{Catalog, RootCause};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let trace = hpcfail_synth::scenario::system_trace(
 //!     hpcfail_records::SystemId::new(12), 42)?;
-//! let breakdown = rootcause::CauseBreakdown::from_trace(&trace);
+//! let index = trace.index();
+//! let breakdown = rootcause::CauseBreakdown::from_view(&index.all());
 //! assert_eq!(breakdown.largest_by_failures(), Some(RootCause::Hardware));
-//! let _ = Catalog::lanl();
+//! let rates = rates::analyze_indexed(&index, &Catalog::lanl())?;
+//! assert!(rates.rates.iter().any(|r| r.failures > 0));
 //! # Ok(())
 //! # }
 //! ```

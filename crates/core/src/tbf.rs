@@ -390,9 +390,10 @@ mod tests {
         // also estimable (and not meaningfully negative).
         let trace = system20();
         let (early, _) = paper_era_split();
-        let windowed = trace.filter_window(early.0, early.1);
-        let gaps = windowed
-            .filter_system(SystemId::new(20))
+        let index = trace.index();
+        let gaps = index
+            .system(SystemId::new(20))
+            .window(early.0, early.1)
             .interarrival_secs()
             .unwrap();
         let zero_frac = gaps.iter().filter(|&&g| g == 0.0).count() as f64 / gaps.len() as f64;

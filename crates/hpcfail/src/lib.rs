@@ -7,14 +7,18 @@
 //! checkpointing/scheduling applications the paper motivates.
 //!
 //! This crate is a facade: it re-exports the workspace crates under one
-//! roof. Use [`prelude`] for the common imports.
+//! roof. Use [`prelude`] for the common imports. A
+//! [`FailureTrace`](prelude::FailureTrace) holds the records; every query
+//! goes through its index and the views the index hands out.
 //!
 //! ```
 //! use hpcfail::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let trace = hpcfail::synth::scenario::system_trace(SystemId::new(12), 42)?;
-//! let breakdown = CauseBreakdown::from_trace(&trace);
+//! let index = trace.index();
+//! assert_eq!(index.system(SystemId::new(12)).len(), trace.len());
+//! let breakdown = CauseBreakdown::from_view(&index.all());
 //! assert_eq!(breakdown.largest_by_failures(), Some(RootCause::Hardware));
 //! # Ok(())
 //! # }

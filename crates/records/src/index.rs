@@ -1,10 +1,11 @@
-//! Zero-copy indexed queries over a [`FailureTrace`].
+//! Zero-copy indexed queries over a [`FailureTrace`] — the one query
+//! surface of the workspace.
 //!
 //! Every analysis in the paper groups the trace — by system, by node, by
-//! root cause, by workload, by time window — and the naive implementation
-//! materializes an owned [`FailureTrace`] per group: an O(n) scan-and-copy
-//! for every group, O(n × nodes) for the per-node views of Fig. 6 alone.
-//! [`TraceIndex`] replaces that with one O(n log n) build producing
+//! root cause, by workload, by time window. Materializing an owned trace
+//! per group would be an O(n) scan-and-copy for every group, O(n × nodes)
+//! for the per-node views of Fig. 6 alone. [`TraceIndex`] replaces that
+//! with one O(n log n) build producing
 //!
 //! - **columnar shadow arrays** of the hot fields (`start`, `downtime`,
 //!   `system`, `node`, `cause`, `workload`) so kernels stream compact
@@ -18,10 +19,12 @@
 //!   the same `(system, node)`), which turns pooled per-node gap
 //!   extraction into a single pass over the row set.
 //!
-//! [`TraceView`] is the borrowed replacement for owned filtered traces: a
-//! row set (contiguous range, borrowed posting slice, or a small owned
-//! row vector for composed filters) over the index, exposing the same
-//! query surface as [`FailureTrace`].
+//! [`TraceView`] is a borrowed row set (contiguous range, borrowed
+//! posting slice, or a small owned row vector for composed filters) over
+//! the index. It carries every query the analyses use: filters, counts
+//! and downtime grouped by cause/system/node, and system-wide and
+//! per-node inter-arrival gaps. [`FailureTrace`] itself only builds,
+//! orders and holds the records.
 //!
 //! # Identity guarantees
 //!
@@ -30,10 +33,11 @@
 //! along any posting list the `start` column is non-decreasing, which is
 //! what lets [`TraceView::window`] slice any row set with
 //! `partition_point`. Every view query visits rows in ascending row
-//! order, i.e. exactly the record order the owned `filter_*` path
-//! iterates, and accumulates in the same sequence — results are
-//! *element-identical*, bit for bit, not merely statistically equal
-//! (proptests in `tests/proptests.rs` pin this on arbitrary traces).
+//! order, i.e. exactly the record order of a scan that keeps the
+//! matching records, and accumulates in the same sequence — results are
+//! *element-identical*, bit for bit, to a naive filter-and-fold over the
+//! records (proptests in `tests/proptests.rs` pin this on arbitrary
+//! traces against such a scan).
 //!
 //! ```
 //! use hpcfail_records::{FailureTrace, SystemId};
@@ -433,7 +437,8 @@ impl<'t> TraceIndex<'t> {
     }
 
     /// Failure count per node of one system, indexed by node id, zeros
-    /// included — [`FailureTrace::failures_per_node`] off the node runs.
+    /// included (the Fig. 3(a) bar data), read off the node runs. Node
+    /// ids `>= node_count` are ignored rather than panicking.
     pub fn failures_per_node(&self, system: SystemId, node_count: u32) -> Vec<u64> {
         let mut counts = vec![0u64; node_count as usize];
         let lo = self
@@ -510,9 +515,8 @@ enum RowSet<'a> {
     Owned { rows: Vec<u32>, node_closed: bool },
 }
 
-/// A borrowed, zero-copy replacement for an owned filtered
-/// [`FailureTrace`]: the same query surface, backed by a row set over a
-/// [`TraceIndex`].
+/// A borrowed, zero-copy filtered view of a trace: a row set over a
+/// [`TraceIndex`] carrying every trace query.
 #[derive(Debug, Clone)]
 pub struct TraceView<'a> {
     index: &'a TraceIndex<'a>,
@@ -604,15 +608,6 @@ impl<'a> TraceView<'a> {
             .map(move |r| &records[r])
     }
 
-    /// Materialize the view as an owned [`FailureTrace`] (compatibility
-    /// escape hatch; rows ascend so the sort invariant carries over).
-    pub fn to_trace(&self) -> FailureTrace {
-        let records = self.index.trace.records();
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each_row(|r| out.push(records[r]));
-        FailureTrace::from_sorted_records(out)
-    }
-
     /// Earliest failure start in the view.
     pub fn first_start(&self) -> Option<Timestamp> {
         self.first_row().map(|r| self.index.start[r as usize])
@@ -637,9 +632,8 @@ impl<'a> TraceView<'a> {
         }
     }
 
-    /// Downtimes in minutes, in time order — element-identical to
-    /// [`FailureTrace::downtimes_minutes`] on the equivalent owned
-    /// filtered trace.
+    /// Downtimes in minutes (the paper's repair-time unit), in time
+    /// order.
     pub fn downtimes_minutes(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.len());
         self.for_each_row(|r| out.push(self.index.downtime[r] as f64 / 60.0));
@@ -743,12 +737,16 @@ impl<'a> TraceView<'a> {
         }
     }
 
-    /// System-wide inter-arrival gaps in seconds, in time order.
+    /// System-wide inter-arrival gaps in seconds: gaps between
+    /// consecutive failure *starts* anywhere in the view, in time order
+    /// (the paper's "view as seen by the whole system", Fig. 6(c)(d)).
+    ///
+    /// Zero gaps — simultaneous failures of two or more nodes — are
+    /// retained; the paper's Fig. 6(c) hinges on >30% of them being zero.
     ///
     /// # Errors
     ///
-    /// [`RecordError::EmptyTrace`] when the view has fewer than 2 records
-    /// (matching [`FailureTrace::interarrival_secs`]).
+    /// [`RecordError::EmptyTrace`] when the view has fewer than 2 records.
     pub fn interarrival_secs(&self) -> Result<Vec<f64>, RecordError> {
         if self.len() < 2 {
             return Err(RecordError::EmptyTrace);
@@ -775,10 +773,10 @@ impl<'a> TraceView<'a> {
         Ok(gaps)
     }
 
-    /// Per-node inter-arrival gaps pooled across all nodes in the view,
-    /// in time order — element-identical to
-    /// [`FailureTrace::per_node_interarrival_secs`] on the equivalent
-    /// owned filtered trace.
+    /// Per-node inter-arrival gaps: gaps between consecutive retained
+    /// failures of the same `(system, node)` (the paper's "view as seen
+    /// by an individual node", Fig. 6(a)(b)), pooled across all nodes in
+    /// the view, in time order.
     ///
     /// On node-closed row sets (system/node/window restrictions) this is
     /// a single sweep following the precomputed `prev_in_node` links; the
@@ -927,8 +925,8 @@ impl<'a> TraceView<'a> {
     /// Narrow the view to one root cause's records.
     ///
     /// The result is not node-closed: per-node gap extraction on it falls
-    /// back to the last-seen map (matching the owned-filter semantics,
-    /// where gaps are measured between *retained* records).
+    /// back to the last-seen map, so gaps are measured between *retained*
+    /// records.
     pub fn filter_cause(&self, cause: RootCause) -> TraceView<'a> {
         if let RowSet::Range { lo, hi } = self.rows {
             return TraceView {
@@ -1018,35 +1016,51 @@ mod tests {
         ])
     }
 
-    /// Every view query must match the owned filter_* original exactly.
-    fn assert_view_matches(view: &TraceView<'_>, owned: &FailureTrace) {
-        assert_eq!(view.len(), owned.len());
-        assert_eq!(view.first_start(), owned.first_start());
-        assert_eq!(view.last_start(), owned.last_start());
-        assert_eq!(view.total_downtime_secs(), owned.total_downtime_secs());
-        assert_eq!(view.downtimes_minutes(), owned.downtimes_minutes());
-        assert_eq!(view.count_by_cause(), owned.count_by_cause());
-        assert_eq!(view.downtime_by_cause(), owned.downtime_by_cause());
-        assert_eq!(view.count_by_system(), owned.count_by_system());
-        assert_eq!(
-            view.interarrival_secs().ok(),
-            owned.interarrival_secs().ok()
-        );
-        assert_eq!(
-            view.per_node_interarrival_secs(),
-            owned.per_node_interarrival_secs()
-        );
-        assert_eq!(&view.to_trace(), owned);
-        let viewed: Vec<FailureRecord> = view.iter().copied().collect();
-        assert_eq!(viewed, owned.records().to_vec());
+    /// The records of `trace` that `keep` selects, as an owned filtered
+    /// copy in trace order — the rows a view must iterate.
+    fn selected(trace: &FailureTrace, keep: impl Fn(&FailureRecord) -> bool) -> Vec<FailureRecord> {
+        trace.iter().filter(|r| keep(r)).copied().collect()
+    }
+
+    fn rows_of(view: &TraceView<'_>) -> Vec<FailureRecord> {
+        view.iter().copied().collect()
+    }
+
+    fn secs(s: u64) -> Timestamp {
+        Timestamp::from_secs(s)
     }
 
     #[test]
     fn whole_trace_view_matches() {
+        // Sorted: 500 (20,1), 1000 (20,0), 1500 (5,3), 2000 (20,0),
+        // 2000 (20,1), 3000 (20,0).
         let trace = sample_trace();
         let index = trace.index();
         assert_eq!(index.len(), trace.len());
-        assert_view_matches(&index.all(), &trace);
+        let all = index.all();
+        assert_eq!(rows_of(&all), trace.records().to_vec());
+        assert_eq!(all.first_start(), Some(secs(500)));
+        assert_eq!(all.last_start(), Some(secs(3_000)));
+        assert_eq!(all.total_downtime_secs(), 60 + 120 + 30 + 600 + 90 + 15);
+        assert_eq!(all.downtimes_minutes(), vec![2.0, 1.0, 10.0, 0.5, 1.5, 0.25]);
+        assert_eq!(all.count_by_system()[&SystemId::new(20)], 5);
+        assert_eq!(all.downtime_by_system()[&SystemId::new(5)], 600);
+        assert_eq!(
+            all.interarrival_secs().unwrap(),
+            vec![500.0, 500.0, 500.0, 0.0, 1_000.0]
+        );
+        // In time order of the later failure: node (20,0) 1000 → 2000,
+        // node (20,1) 500 → 2000, node (20,0) 2000 → 3000.
+        assert_eq!(
+            all.per_node_interarrival_secs(),
+            vec![1_000.0, 1_500.0, 1_000.0]
+        );
+        // A cause view measures gaps between retained records only:
+        // hardware keeps (20,0) at 1000, 2000 and 3000.
+        assert_eq!(
+            index.cause(RootCause::Hardware).per_node_interarrival_secs(),
+            vec![1_000.0, 1_000.0]
+        );
     }
 
     #[test]
@@ -1055,18 +1069,26 @@ mod tests {
         let index = trace.index();
         for sys in [5u32, 20, 7] {
             let id = SystemId::new(sys);
-            assert_view_matches(&index.system(id), &trace.filter_system(id));
+            let want = selected(&trace, |r| r.system() == id);
+            assert_eq!(rows_of(&index.system(id)), want);
+            assert_eq!(rows_of(&index.all().filter_system(id)), want);
             for node in 0..4u32 {
                 let n = NodeId::new(node);
-                assert_view_matches(&index.node(id, n), &trace.filter_node(id, n));
+                let want = selected(&trace, |r| r.system() == id && r.node() == n);
+                assert_eq!(rows_of(&index.node(id, n)), want);
+                assert_eq!(rows_of(&index.all().filter_node(id, n)), want);
             }
         }
         for cause in RootCause::ALL {
-            assert_view_matches(&index.cause(cause), &trace.filter_cause(cause));
+            let want = selected(&trace, |r| r.cause() == cause);
+            assert_eq!(rows_of(&index.cause(cause)), want);
+            assert_eq!(rows_of(&index.all().filter_cause(cause)), want);
         }
         for w in Workload::ALL {
-            assert_view_matches(&index.workload(w), &trace.filter_workload(w));
-            assert_eq!(index.all().count_workload(w), trace.filter_workload(w).len());
+            let want = selected(&trace, |r| r.workload() == w);
+            assert_eq!(rows_of(&index.workload(w)), want);
+            assert_eq!(rows_of(&index.all().filter_workload(w)), want);
+            assert_eq!(index.all().count_workload(w), want.len());
         }
     }
 
@@ -1081,31 +1103,28 @@ mod tests {
             (2_000, 500),
             (1_500, 3_001),
         ];
+        let id = SystemId::new(20);
+        let node = NodeId::new(0);
         for (from, to) in windows {
-            let (f, t) = (Timestamp::from_secs(from), Timestamp::from_secs(to));
-            let owned = trace.filter_window(f, t);
+            let (f, t) = (secs(from), secs(to));
+            let in_window = |r: &FailureRecord| f <= r.start() && r.start() < t;
             let view = index.all().window(f, t);
-            assert_view_matches(&view, &owned);
+            assert_eq!(rows_of(&view), selected(&trace, in_window));
+            assert_eq!(trace.filter_window(f, t).records(), &rows_of(&view)[..]);
             // window ∘ system and system ∘ window both match.
-            let id = SystemId::new(20);
-            assert_view_matches(&view.filter_system(id), &owned.filter_system(id));
-            assert_view_matches(
-                &index.system(id).window(f, t),
-                &trace.filter_system(id).filter_window(f, t),
-            );
+            let want = selected(&trace, |r| in_window(r) && r.system() == id);
+            assert_eq!(rows_of(&view.filter_system(id)), want);
+            assert_eq!(rows_of(&index.system(id).window(f, t)), want);
             // cause restriction after a window.
-            assert_view_matches(
-                &view.filter_cause(RootCause::Hardware),
-                &owned.filter_cause(RootCause::Hardware),
+            let hw = |r: &FailureRecord| in_window(r) && r.cause() == RootCause::Hardware;
+            assert_eq!(
+                rows_of(&view.filter_cause(RootCause::Hardware)),
+                selected(&trace, hw)
             );
             // node restriction of a cause view (owned-rows path).
-            assert_view_matches(
-                &view
-                    .filter_cause(RootCause::Hardware)
-                    .filter_node(SystemId::new(20), NodeId::new(0)),
-                &owned
-                    .filter_cause(RootCause::Hardware)
-                    .filter_node(SystemId::new(20), NodeId::new(0)),
+            assert_eq!(
+                rows_of(&view.filter_cause(RootCause::Hardware).filter_node(id, node)),
+                selected(&trace, |r| hw(r) && r.system() == id && r.node() == node)
             );
         }
     }
@@ -1117,37 +1136,34 @@ mod tests {
         let view = index.all();
         let totals = view.counts_by_cause_per_system();
         for (&sys, t) in &totals {
-            let sub = trace.filter_system(sys);
-            let counts = sub.count_by_cause();
-            let downtime = sub.downtime_by_cause();
+            let sub = selected(&trace, |r| r.system() == sys);
             for cause in RootCause::ALL {
-                assert_eq!(
-                    t.count[cause.index()],
-                    counts.get(&cause).copied().unwrap_or(0)
-                );
+                let of_cause = sub.iter().filter(|r| r.cause() == cause);
+                assert_eq!(t.count[cause.index()], of_cause.clone().count() as u64);
                 assert_eq!(
                     t.downtime_secs[cause.index()],
-                    downtime.get(&cause).copied().unwrap_or(0)
+                    of_cause.map(|r| r.downtime_secs()).sum::<u64>()
                 );
             }
             assert_eq!(t.total_count(), sub.len() as u64);
-            assert_eq!(t.total_downtime_secs(), sub.total_downtime_secs());
+            assert_eq!(
+                t.total_downtime_secs(),
+                index.system(sys).total_downtime_secs()
+            );
         }
+        assert_eq!(totals[&SystemId::new(20)].downtime_secs[RootCause::Hardware.index()], 105);
         assert_eq!(
             totals.keys().copied().collect::<Vec<_>>(),
             index.systems().collect::<Vec<_>>()
         );
         assert_eq!(view.downtime_by_system().len(), totals.len());
+        assert_eq!(index.failures_per_node(SystemId::new(20), 4), vec![3, 2, 0, 0]);
+        assert_eq!(view.failures_per_node(SystemId::new(20), 4), vec![3, 2, 0, 0]);
+        // A window counts only its own rows: 500 (20,1) and 1000 (20,0).
         assert_eq!(
-            index.failures_per_node(SystemId::new(20), 4),
-            trace.failures_per_node(SystemId::new(20), 4)
-        );
-        assert_eq!(
-            view.window(Timestamp::from_secs(500), Timestamp::from_secs(2_000))
+            view.window(secs(500), secs(2_000))
                 .failures_per_node(SystemId::new(20), 4),
-            trace
-                .filter_window(Timestamp::from_secs(500), Timestamp::from_secs(2_000))
-                .failures_per_node(SystemId::new(20), 4)
+            vec![1, 1, 0, 0]
         );
         assert_eq!(
             index.nodes_of(SystemId::new(20)).collect::<Vec<_>>(),
@@ -1212,15 +1228,22 @@ mod tests {
         assert!(view.per_node_interarrival_secs().is_empty());
         assert!(view.zero_gap_fraction().is_nan());
         assert!(view.first_start().is_none());
+        assert!(view.last_start().is_none());
+        assert_eq!(view.total_downtime_secs(), 0);
+        assert!(view.count_by_system().is_empty());
         assert_eq!(index.failures_per_node(SystemId::new(1), 3), vec![0, 0, 0]);
     }
 
     #[test]
     fn zero_gap_fraction_matches() {
+        // One zero among the five system-wide gaps (two failures at 2000).
         let trace = sample_trace();
         let index = trace.index();
-        let a = index.all().zero_gap_fraction();
-        let b = trace.zero_gap_fraction();
-        assert!((a - b).abs() < 1e-15 || (a.is_nan() && b.is_nan()));
+        assert!((index.all().zero_gap_fraction() - 0.2).abs() < 1e-15);
+        // A node view has no simultaneous failures.
+        assert_eq!(
+            index.node(SystemId::new(20), NodeId::new(0)).zero_gap_fraction(),
+            0.0
+        );
     }
 }

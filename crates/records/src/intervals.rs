@@ -5,9 +5,8 @@
 //! This module computes the union of outage intervals, the concurrent-
 //! outage profile, and per-node up/down timelines.
 
-use crate::ids::{NodeId, SystemId};
+use crate::index::TraceView;
 use crate::time::Timestamp;
-use crate::trace::FailureTrace;
 
 /// A half-open time interval `[start, end)` in epoch seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -39,12 +38,10 @@ pub fn union(mut intervals: Vec<Interval>) -> Vec<Interval> {
     out
 }
 
-/// The outage intervals of one system's records (one interval per
-/// failure record, unmerged).
-pub fn outage_intervals(trace: &FailureTrace, system: SystemId) -> Vec<Interval> {
-    trace
-        .filter_system(system)
-        .iter()
+/// The outage intervals of a view's records (one interval per failure
+/// record, unmerged) — pass one system's view for a system's outages.
+pub fn outage_intervals(view: &TraceView<'_>) -> Vec<Interval> {
+    view.iter()
         .map(|r| Interval {
             start: r.start().as_secs(),
             end: r.end().as_secs(),
@@ -52,20 +49,22 @@ pub fn outage_intervals(trace: &FailureTrace, system: SystemId) -> Vec<Interval>
         .collect()
 }
 
-/// Seconds during which **at least one** node of the system was down —
-/// the union of all outage intervals (no double counting).
-pub fn any_node_down_secs(trace: &FailureTrace, system: SystemId) -> u64 {
-    union(outage_intervals(trace, system))
+/// Seconds during which **at least one** node of the view was down —
+/// the union of all outage intervals (no double counting). On a node's
+/// view this is that node's downtime with its own overlapping records
+/// merged.
+pub fn any_node_down_secs(view: &TraceView<'_>) -> u64 {
+    union(outage_intervals(view))
         .iter()
         .map(Interval::secs)
         .sum()
 }
 
-/// The peak number of simultaneously-down nodes and when it occurred.
-/// Returns `None` for a system with no records.
-pub fn peak_concurrent_outages(trace: &FailureTrace, system: SystemId) -> Option<(u32, Timestamp)> {
-    let mut events: Vec<(u64, i32)> = Vec::new();
-    for r in trace.filter_system(system).iter() {
+/// The peak number of simultaneously-down nodes in the view and when it
+/// occurred. Returns `None` for an empty view.
+pub fn peak_concurrent_outages(view: &TraceView<'_>) -> Option<(u32, Timestamp)> {
+    let mut events: Vec<(u64, i32)> = Vec::with_capacity(2 * view.len());
+    for r in view.iter() {
         events.push((r.start().as_secs(), 1));
         events.push((r.end().as_secs(), -1));
     }
@@ -86,25 +85,13 @@ pub fn peak_concurrent_outages(trace: &FailureTrace, system: SystemId) -> Option
     Some((best.0 as u32, Timestamp::from_secs(best.1)))
 }
 
-/// Per-node downtime union: seconds node `node` was down (its own
-/// overlapping records merged).
-pub fn node_down_secs(trace: &FailureTrace, system: SystemId, node: NodeId) -> u64 {
-    let intervals: Vec<Interval> = trace
-        .filter_node(system, node)
-        .iter()
-        .map(|r| Interval {
-            start: r.start().as_secs(),
-            end: r.end().as_secs(),
-        })
-        .collect();
-    union(intervals).iter().map(Interval::secs).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cause::DetailedCause;
+    use crate::ids::{NodeId, SystemId};
     use crate::record::FailureRecord;
+    use crate::trace::FailureTrace;
     use crate::workload::Workload;
 
     fn rec(node: u32, start: u64, end: u64) -> FailureRecord {
@@ -144,8 +131,10 @@ mod tests {
         // Two nodes down over the same hour: union is one hour, the
         // per-record sum is two.
         let trace = FailureTrace::from_records(vec![rec(0, 1_000, 4_600), rec(1, 1_000, 4_600)]);
-        assert_eq!(any_node_down_secs(&trace, SystemId::new(1)), 3_600);
-        assert_eq!(trace.total_downtime_secs(), 7_200);
+        let index = trace.index();
+        let system = index.system(SystemId::new(1));
+        assert_eq!(any_node_down_secs(&system), 3_600);
+        assert_eq!(system.total_downtime_secs(), 7_200);
     }
 
     #[test]
@@ -156,17 +145,18 @@ mod tests {
             rec(2, 180, 190),
             rec(3, 500, 600),
         ]);
-        let (peak, at) = peak_concurrent_outages(&trace, SystemId::new(1)).unwrap();
+        let index = trace.index();
+        let (peak, at) = peak_concurrent_outages(&index.system(SystemId::new(1))).unwrap();
         assert_eq!(peak, 3);
         assert_eq!(at.as_secs(), 180);
-        assert!(peak_concurrent_outages(&trace, SystemId::new(9)).is_none());
+        assert!(peak_concurrent_outages(&index.system(SystemId::new(9))).is_none());
     }
 
     #[test]
     fn back_to_back_is_not_concurrent() {
         // One ends exactly when the next begins: depth stays 1.
         let trace = FailureTrace::from_records(vec![rec(0, 100, 200), rec(1, 200, 300)]);
-        let (peak, _) = peak_concurrent_outages(&trace, SystemId::new(1)).unwrap();
+        let (peak, _) = peak_concurrent_outages(&trace.index().all()).unwrap();
         assert_eq!(peak, 1);
     }
 
@@ -175,11 +165,15 @@ mod tests {
         // The same node double-reported over overlapping windows.
         let trace =
             FailureTrace::from_records(vec![rec(7, 100, 200), rec(7, 150, 250), rec(7, 400, 500)]);
+        let index = trace.index();
         assert_eq!(
-            node_down_secs(&trace, SystemId::new(1), NodeId::new(7)),
+            any_node_down_secs(&index.node(SystemId::new(1), NodeId::new(7))),
             250
         );
-        assert_eq!(node_down_secs(&trace, SystemId::new(1), NodeId::new(8)), 0);
+        assert_eq!(
+            any_node_down_secs(&index.node(SystemId::new(1), NodeId::new(8))),
+            0
+        );
     }
 
     #[test]
@@ -187,9 +181,11 @@ mod tests {
         // A burst-like trace: the peak depth must exceed 1 and union
         // downtime must be below the raw per-record sum.
         let t = hpcfail_synth_like();
-        let (peak, _) = peak_concurrent_outages(&t, SystemId::new(1)).unwrap();
+        let index = t.index();
+        let system = index.system(SystemId::new(1));
+        let (peak, _) = peak_concurrent_outages(&system).unwrap();
         assert!(peak >= 2);
-        assert!(any_node_down_secs(&t, SystemId::new(1)) < t.total_downtime_secs());
+        assert!(any_node_down_secs(&system) < system.total_downtime_secs());
     }
 
     /// A small deterministic burst-like trace (three simultaneous

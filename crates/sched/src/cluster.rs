@@ -7,7 +7,7 @@
 //! node's historical failure count/rate (from a trace) and its current
 //! uptime.
 
-use hpcfail_records::{FailureTrace, SystemId};
+use hpcfail_records::{SystemId, TraceIndex};
 use serde::{Deserialize, Serialize};
 
 use crate::error::SchedError;
@@ -32,7 +32,8 @@ impl NodeProfile {
     }
 }
 
-/// Build per-node profiles from an observed failure trace of one system.
+/// Build per-node profiles of one system from an indexed failure trace;
+/// counts come from the index's node-run offsets, not a trace scan.
 ///
 /// Nodes with zero observed failures get a rate of half a failure per
 /// observation period (a pseudo-count, so they rank as most reliable but
@@ -42,37 +43,8 @@ impl NodeProfile {
 ///
 /// [`SchedError::InvalidParameter`] if `node_count` is zero or the trace
 /// observation span is empty.
-pub fn profiles_from_trace(
-    trace: &FailureTrace,
-    system: SystemId,
-    node_count: u32,
-    observation_years: f64,
-) -> Result<Vec<NodeProfile>, SchedError> {
-    if node_count == 0 {
-        return Err(SchedError::InvalidParameter {
-            name: "node_count",
-            value: 0.0,
-        });
-    }
-    if !observation_years.is_finite() || observation_years <= 0.0 {
-        return Err(SchedError::InvalidParameter {
-            name: "observation_years",
-            value: observation_years,
-        });
-    }
-    let counts = trace.failures_per_node(system, node_count);
-    profiles_from_counts(&counts, observation_years)
-}
-
-/// [`profiles_from_trace`] off a prebuilt
-/// [`hpcfail_records::TraceIndex`]: counts come from the node-run
-/// offsets instead of a trace scan.
-///
-/// # Errors
-///
-/// Same as [`profiles_from_trace`].
 pub fn profiles_from_index(
-    index: &hpcfail_records::TraceIndex<'_>,
+    index: &TraceIndex<'_>,
     system: SystemId,
     node_count: u32,
     observation_years: f64,
@@ -89,15 +61,8 @@ pub fn profiles_from_index(
             value: observation_years,
         });
     }
-    let counts = index.failures_per_node(system, node_count);
-    profiles_from_counts(&counts, observation_years)
-}
-
-fn profiles_from_counts(
-    counts: &[u64],
-    observation_years: f64,
-) -> Result<Vec<NodeProfile>, SchedError> {
-    Ok(counts
+    Ok(index
+        .failures_per_node(system, node_count)
         .iter()
         .enumerate()
         .map(|(n, &c)| NodeProfile {
@@ -122,7 +87,7 @@ pub fn reliability_ranking(profiles: &[NodeProfile]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::{DetailedCause, FailureRecord, NodeId, Timestamp, Workload};
+    use hpcfail_records::{DetailedCause, FailureRecord, FailureTrace, NodeId, Timestamp, Workload};
 
     fn trace() -> FailureTrace {
         let rec = |node: u32, start: u64| {
@@ -141,7 +106,8 @@ mod tests {
 
     #[test]
     fn profiles_count_failures() {
-        let p = profiles_from_trace(&trace(), SystemId::new(1), 3, 2.0).unwrap();
+        let trace = trace();
+        let p = profiles_from_index(&trace.index(), SystemId::new(1), 3, 2.0).unwrap();
         assert_eq!(p.len(), 3);
         assert!((p[0].failures_per_year - 1.5).abs() < 1e-12);
         // Node 1 never failed → pseudo-count 0.5 over 2 years.
@@ -165,16 +131,19 @@ mod tests {
 
     #[test]
     fn ranking_orders_by_reliability() {
-        let p = profiles_from_trace(&trace(), SystemId::new(1), 3, 2.0).unwrap();
+        let trace = trace();
+        let p = profiles_from_index(&trace.index(), SystemId::new(1), 3, 2.0).unwrap();
         let ranking = reliability_ranking(&p);
         assert_eq!(ranking, vec![1, 2, 0], "fewest failures first");
     }
 
     #[test]
     fn validation() {
-        assert!(profiles_from_trace(&trace(), SystemId::new(1), 0, 1.0).is_err());
-        assert!(profiles_from_trace(&trace(), SystemId::new(1), 3, 0.0).is_err());
-        assert!(profiles_from_trace(&trace(), SystemId::new(1), 3, f64::NAN).is_err());
+        let trace = trace();
+        let index = trace.index();
+        assert!(profiles_from_index(&index, SystemId::new(1), 0, 1.0).is_err());
+        assert!(profiles_from_index(&index, SystemId::new(1), 3, 0.0).is_err());
+        assert!(profiles_from_index(&index, SystemId::new(1), 3, f64::NAN).is_err());
     }
 
     #[test]

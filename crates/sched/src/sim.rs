@@ -127,7 +127,7 @@ pub fn run(
 /// `prior_rates`, when given, are per-node failures/year estimates the
 /// scheduler starts with — the paper's use case, where years of failure
 /// logs exist before the scheduling decision (cf.
-/// [`crate::cluster::profiles_from_trace`]). Online observations are
+/// [`crate::cluster::profiles_from_index`]). Online observations are
 /// blended in as the simulation runs.
 ///
 /// # Errors

@@ -182,7 +182,7 @@ mod tests {
             .without_bursts()
             .build_system(sys)
             .unwrap();
-        assert!(trace.zero_gap_fraction() < 0.02);
+        assert!(trace.index().all().zero_gap_fraction() < 0.02);
     }
 
     #[test]
@@ -193,7 +193,7 @@ mod tests {
             .homogeneous_nodes()
             .build_system(sys)
             .unwrap();
-        let counts = trace.failures_per_node(sys, 49);
+        let counts = trace.index().failures_per_node(sys, 49);
         let graphics: u64 = [21usize, 22, 23].iter().map(|&n| counts[n]).sum();
         let share = graphics as f64 / counts.iter().sum::<u64>() as f64;
         // 3/49 ≈ 6% of nodes now take ≈6% of failures.
@@ -232,6 +232,8 @@ mod tests {
             .build_system(sys)
             .unwrap();
         let hw = trace
+            .index()
+            .all()
             .count_by_cause()
             .get(&RootCause::Hardware)
             .copied()
@@ -254,6 +256,8 @@ mod tests {
             .build_system(sys)
             .unwrap();
         let gaps: Vec<f64> = trace
+            .index()
+            .all()
             .interarrival_secs()
             .unwrap()
             .into_iter()

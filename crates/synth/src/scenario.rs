@@ -41,8 +41,8 @@ mod tests {
     fn single_system_scenario() {
         let t = system_trace(SystemId::new(12), DEFAULT_SEED).unwrap();
         assert!(!t.is_empty());
-        assert!(t.count_by_system().contains_key(&SystemId::new(12)));
-        assert_eq!(t.count_by_system().len(), 1);
+        let systems: Vec<SystemId> = t.index().systems().collect();
+        assert_eq!(systems, vec![SystemId::new(12)]);
     }
 
     #[test]

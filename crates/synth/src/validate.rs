@@ -71,9 +71,10 @@ pub fn validate_site(
     calibration: &Calibration,
 ) -> Result<ValidationReport, SynthError> {
     let mut checks = Vec::new();
+    let index = trace.index();
 
     // Per-system annual failure rates.
-    let counts = trace.count_by_system();
+    let counts = index.all().count_by_system();
     for (id, config) in calibration.iter() {
         let spec = catalog
             .system(id)
@@ -93,7 +94,7 @@ pub fn validate_site(
 
     // Hardware share of the root-cause mix, per system.
     for (id, config) in calibration.iter() {
-        let sub = trace.filter_system(id);
+        let sub = index.system(id);
         if sub.len() < 200 {
             continue; // too little data for a mix check
         }
@@ -114,7 +115,7 @@ pub fn validate_site(
     // Table 2 repair medians per cause (site-wide, F-scale systems carry
     // weight; allow a generous band).
     for (cause, median, _) in crate::repair::TABLE2_TARGETS {
-        let minutes = trace.filter_cause(cause).downtimes_minutes();
+        let minutes = index.cause(cause).downtimes_minutes();
         if minutes.len() < 100 {
             continue;
         }

@@ -10,7 +10,7 @@
 //! ```
 
 use hpcfail::prelude::*;
-use hpcfail::sched::cluster::{profiles_from_trace, reliability_ranking};
+use hpcfail::sched::cluster::{profiles_from_index, reliability_ranking};
 use hpcfail::sched::policy::{LeastFailureRate, LongestUptime, Policy, RandomPlacement};
 use hpcfail::sched::sim::{run_with_prior, Job, NodeTruth, SimConfig};
 
@@ -20,7 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = hpcfail::synth::scenario::system_trace(system, 42)?;
     let catalog = Catalog::lanl();
     let spec = catalog.system(system)?;
-    let profiles = profiles_from_trace(&trace, system, spec.nodes(), spec.production_years())?;
+    let profiles =
+        profiles_from_index(&trace.index(), system, spec.nodes(), spec.production_years())?;
     let ranking = reliability_ranking(&profiles);
     println!(
         "most reliable nodes: {:?}; least reliable: {:?}",

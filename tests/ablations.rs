@@ -16,7 +16,9 @@ fn late_gaps() -> &'static Vec<f64> {
         let trace = hpcfail::synth::scenario::system_trace(SystemId::new(20), 42).expect("trace");
         let (_, late) = tbf::paper_era_split();
         trace
-            .filter_window(late.0, late.1)
+            .index()
+            .all()
+            .window(late.0, late.1)
             .interarrival_secs()
             .expect("gaps")
             .into_iter()

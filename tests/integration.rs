@@ -7,7 +7,7 @@ use hpcfail::checkpoint::sim::{simulate, JobConfig};
 use hpcfail::checkpoint::strategies::Periodic;
 use hpcfail::prelude::*;
 use hpcfail::records::io::{read_csv, write_csv};
-use hpcfail::sched::cluster::profiles_from_trace;
+use hpcfail::sched::cluster::profiles_from_index;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,7 +24,7 @@ fn site_trace_matches_paper_scale() {
         "trace has {} records",
         trace.len()
     );
-    assert_eq!(trace.count_by_system().len(), 22);
+    assert_eq!(trace.index().systems().count(), 22);
     // Records are sorted and well-formed.
     let mut last = Timestamp::EPOCH;
     for r in trace.iter() {
@@ -73,8 +73,9 @@ fn fitted_statistics_feed_the_checkpoint_simulator() {
     // The workflow the paper's intro motivates: measure TBF on real
     // records, fit a distribution, use it to plan checkpoints.
     let trace = site_trace();
-    let sys7 = trace.filter_system(SystemId::new(7));
-    let gaps: Vec<f64> = sys7
+    let gaps: Vec<f64> = trace
+        .index()
+        .system(SystemId::new(7))
         .per_node_interarrival_secs()
         .into_iter()
         .filter(|&g| g > 0.0)
@@ -101,8 +102,8 @@ fn trace_profiles_feed_the_scheduler() {
     let trace = site_trace();
     let catalog = Catalog::lanl();
     let spec = catalog.system(SystemId::new(20)).unwrap();
-    let profiles = profiles_from_trace(
-        &trace,
+    let profiles = profiles_from_index(
+        &trace.index(),
         SystemId::new(20),
         spec.nodes(),
         spec.production_years(),
@@ -154,22 +155,20 @@ fn catalog_invariants_hold() {
 #[test]
 fn filters_partition_the_trace() {
     let trace = site_trace();
+    let index = trace.index();
     // Cause filters partition records.
-    let total: usize = RootCause::ALL
-        .iter()
-        .map(|&c| trace.filter_cause(c).len())
-        .sum();
+    let total: usize = RootCause::ALL.iter().map(|&c| index.cause(c).len()).sum();
     assert_eq!(total, trace.len());
     // System filters partition records.
     let by_system: usize = (1..=22)
-        .map(|id| trace.filter_system(SystemId::new(id)).len())
+        .map(|id| index.system(SystemId::new(id)).len())
         .sum();
     assert_eq!(by_system, trace.len());
     // Era windows partition records that fall inside the data period.
     let t0 = Timestamp::EPOCH;
     let t1 = Timestamp::from_civil(2000, 1, 1, 0, 0, 0).unwrap();
     let t2 = Timestamp::from_civil(2006, 1, 1, 0, 0, 0).unwrap();
-    let early = trace.filter_window(t0, t1).len();
-    let late = trace.filter_window(t1, t2).len();
+    let early = index.all().window(t0, t1).len();
+    let late = index.all().window(t1, t2).len();
     assert_eq!(early + late, trace.len());
 }

@@ -5,6 +5,7 @@
 use hpcfail::prelude::*;
 use hpcfail::records::io::{format_line, parse_line};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
 // Distribution laws
@@ -147,6 +148,23 @@ fn arbitrary_record() -> impl Strategy<Value = FailureRecord> {
         })
 }
 
+/// Records drawn from tiny start/system/node ranges, so equal sort keys
+/// (and equal starts with different systems) are common.
+fn tied_record() -> impl Strategy<Value = FailureRecord> {
+    (1u32..4, 0u32..3, 0u64..8, 0u64..5, 0usize..hpcfail::records::DetailedCause::ALL.len())
+        .prop_map(|(sys, node, start, dur, d)| {
+            FailureRecord::new(
+                SystemId::new(sys),
+                NodeId::new(node),
+                Timestamp::from_secs(start),
+                Timestamp::from_secs(start + dur),
+                hpcfail::records::Workload::Compute,
+                hpcfail::records::DetailedCause::ALL[d],
+            )
+            .expect("end >= start by construction")
+        })
+}
+
 proptest! {
     #[test]
     fn record_csv_round_trip(record in arbitrary_record()) {
@@ -167,17 +185,40 @@ proptest! {
     #[test]
     fn interarrivals_sum_to_span(records in prop::collection::vec(arbitrary_record(), 2..100)) {
         let trace = FailureTrace::from_records(records);
-        let gaps = trace.interarrival_secs().unwrap();
-        let span = (trace.last_start().unwrap() - trace.first_start().unwrap()) as f64;
+        let index = trace.index();
+        let all = index.all();
+        let gaps = all.interarrival_secs().unwrap();
+        let span = (all.last_start().unwrap() - all.first_start().unwrap()) as f64;
         let total: f64 = gaps.iter().sum();
         prop_assert!((total - span).abs() < 1e-6);
         prop_assert!(gaps.iter().all(|&g| g >= 0.0));
     }
 
+    /// Pushing records one by one (what `Extend` does) yields exactly the
+    /// trace `from_records` builds from the same sequence: both keep the
+    /// full `(start, system, node)` order with ties in arrival order.
+    /// Starts, systems and nodes come from tiny ranges so equal starts and
+    /// fully equal keys are common.
+    #[test]
+    fn push_sequence_equals_from_records(
+        records in prop::collection::vec(tied_record(), 0..60),
+    ) {
+        let mut pushed = FailureTrace::new();
+        for r in &records {
+            pushed.push(*r);
+        }
+        let built = FailureTrace::from_records(records.clone());
+        prop_assert_eq!(&pushed, &built);
+        let mut extended = FailureTrace::new();
+        extended.extend(records);
+        prop_assert_eq!(&extended, &built);
+    }
+
     #[test]
     fn cause_filters_partition(records in prop::collection::vec(arbitrary_record(), 0..100)) {
         let trace = FailureTrace::from_records(records);
-        let total: usize = RootCause::ALL.iter().map(|&c| trace.filter_cause(c).len()).sum();
+        let index = trace.index();
+        let total: usize = RootCause::ALL.iter().map(|&c| index.cause(c).len()).sum();
         prop_assert_eq!(total, trace.len());
     }
 
@@ -480,7 +521,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Trace query index: borrowed views vs owned filtered traces
+// Trace query index: borrowed views vs a naive owned-filter oracle
 // ---------------------------------------------------------------------
 
 /// Exact float equality that also matches NaN with NaN (the empty-slice
@@ -489,27 +530,127 @@ fn f64_identical(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
-/// Assert that a borrowed view answers every query exactly as the owned
-/// filtered trace it mirrors — same records, same element order, same
+/// The reference the view queries are checked against: the records a
+/// view should hold, as an owned filtered copy in trace order, with every
+/// query a plain fold over them — no index, posting lists or links.
+#[derive(Debug, Clone, PartialEq)]
+struct Naive(Vec<FailureRecord>);
+
+impl Naive {
+    fn of(trace: &FailureTrace) -> Self {
+        Naive(trace.records().to_vec())
+    }
+
+    fn filter(&self, keep: impl Fn(&FailureRecord) -> bool) -> Self {
+        Naive(self.0.iter().filter(|r| keep(r)).copied().collect())
+    }
+
+    fn system(&self, system: SystemId) -> Self {
+        self.filter(|r| r.system() == system)
+    }
+
+    fn node(&self, system: SystemId, node: NodeId) -> Self {
+        self.filter(|r| r.system() == system && r.node() == node)
+    }
+
+    fn cause(&self, cause: RootCause) -> Self {
+        self.filter(|r| r.cause() == cause)
+    }
+
+    fn workload(&self, workload: Workload) -> Self {
+        self.filter(|r| r.workload() == workload)
+    }
+
+    fn window(&self, from: Timestamp, to: Timestamp) -> Self {
+        self.filter(|r| r.start() >= from && r.start() < to)
+    }
+
+    fn starts(&self) -> Vec<Timestamp> {
+        self.0.iter().map(|r| r.start()).collect()
+    }
+
+    fn downtimes_minutes(&self) -> Vec<f64> {
+        self.0.iter().map(|r| r.downtime_minutes()).collect()
+    }
+
+    fn grouped<K: Ord>(
+        &self,
+        key: impl Fn(&FailureRecord) -> K,
+        value: impl Fn(&FailureRecord) -> u64,
+    ) -> BTreeMap<K, u64> {
+        let mut map = BTreeMap::new();
+        for r in &self.0 {
+            *map.entry(key(r)).or_insert(0) += value(r);
+        }
+        map
+    }
+
+    /// Gaps between consecutive starts; `None` below two records.
+    fn interarrival_secs(&self) -> Option<Vec<f64>> {
+        let starts = self.starts();
+        (starts.len() >= 2).then(|| starts.windows(2).map(|w| (w[1] - w[0]) as f64).collect())
+    }
+
+    /// Gaps between consecutive retained records of the same node, in
+    /// record order.
+    fn per_node_interarrival_secs(&self) -> Vec<f64> {
+        let mut last_seen: BTreeMap<(SystemId, NodeId), Timestamp> = BTreeMap::new();
+        let mut gaps = Vec::new();
+        for r in &self.0 {
+            if let Some(prev) = last_seen.insert((r.system(), r.node()), r.start()) {
+                gaps.push((r.start() - prev) as f64);
+            }
+        }
+        gaps
+    }
+
+    fn zero_gap_fraction(&self) -> f64 {
+        match self.interarrival_secs() {
+            Some(gaps) => gaps.iter().filter(|&&g| g == 0.0).count() as f64 / gaps.len() as f64,
+            None => f64::NAN,
+        }
+    }
+
+    fn failures_per_node(&self, system: SystemId, node_count: u32) -> Vec<u64> {
+        let mut counts = vec![0u64; node_count as usize];
+        for r in self.0.iter().filter(|r| r.system() == system) {
+            if let Some(c) = counts.get_mut(r.node().get() as usize) {
+                *c += 1;
+            }
+        }
+        counts
+    }
+}
+
+/// Assert that a borrowed view answers every query exactly as the naive
+/// owned filter it mirrors — same records, same element order, same
 /// float sequences, same group-by maps.
-fn assert_view_matches_owned(view: &TraceView<'_>, owned: &FailureTrace) {
-    assert_eq!(view.len(), owned.len());
-    assert_eq!(view.is_empty(), owned.is_empty());
-    let viewed: Vec<&FailureRecord> = view.iter().collect();
-    let records: Vec<&FailureRecord> = owned.iter().collect();
-    assert_eq!(viewed, records, "record sequence");
-    assert_eq!(view.to_trace().records(), owned.records());
-    assert_eq!(view.first_start(), owned.first_start());
-    assert_eq!(view.last_start(), owned.last_start());
-    assert_eq!(view.total_downtime_secs(), owned.total_downtime_secs());
+fn assert_view_matches_owned(view: &TraceView<'_>, owned: &Naive) {
+    assert_eq!(view.len(), owned.0.len());
+    assert_eq!(view.is_empty(), owned.0.is_empty());
+    let viewed: Vec<FailureRecord> = view.iter().copied().collect();
+    assert_eq!(viewed, owned.0, "record sequence");
+    assert_eq!(view.first_start(), owned.starts().first().copied());
+    assert_eq!(view.last_start(), owned.starts().last().copied());
+    assert_eq!(
+        view.total_downtime_secs(),
+        owned.0.iter().map(|r| r.downtime_secs()).sum::<u64>()
+    );
     assert_eq!(view.downtimes_minutes(), owned.downtimes_minutes());
-    assert_eq!(view.count_by_cause(), owned.count_by_cause());
-    assert_eq!(view.downtime_by_cause(), owned.downtime_by_cause());
-    assert_eq!(view.count_by_system(), owned.count_by_system());
+    assert_eq!(view.count_by_cause(), owned.grouped(|r| r.cause(), |_| 1));
+    assert_eq!(
+        view.downtime_by_cause(),
+        owned.grouped(|r| r.cause(), |r| r.downtime_secs())
+    );
+    assert_eq!(view.count_by_system(), owned.grouped(|r| r.system(), |_| 1));
+    assert_eq!(
+        view.downtime_by_system(),
+        owned.grouped(|r| r.system(), |r| r.downtime_secs())
+    );
     match (view.interarrival_secs(), owned.interarrival_secs()) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "interarrival sequence"),
-        (Err(_), Err(_)) => {}
-        (a, b) => panic!("interarrival mismatch: view {a:?} vs owned {b:?}"),
+        (Ok(a), Some(b)) => assert_eq!(a, b, "interarrival sequence"),
+        (Err(_), None) => {}
+        (a, b) => panic!("interarrival mismatch: view {a:?} vs naive {b:?}"),
     }
     assert_eq!(
         view.per_node_interarrival_secs(),
@@ -517,6 +658,9 @@ fn assert_view_matches_owned(view: &TraceView<'_>, owned: &FailureTrace) {
         "pooled per-node gap sequence"
     );
     assert!(f64_identical(view.zero_gap_fraction(), owned.zero_gap_fraction()));
+    for w in Workload::ALL {
+        assert_eq!(view.count_workload(w), owned.workload(w).0.len());
+    }
 }
 
 fn index_systems(trace: &FailureTrace) -> Vec<SystemId> {
@@ -530,44 +674,40 @@ fn index_systems(trace: &FailureTrace) -> Vec<SystemId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every single-axis view answers queries exactly like the owned
-    /// `filter_*` trace it replaces, on arbitrary traces.
+    /// Every single-axis view answers queries exactly like the naive
+    /// owned filter of the records, on arbitrary traces.
     #[test]
     fn views_match_owned_filters(
         records in prop::collection::vec(arbitrary_record(), 0..120),
     ) {
         let trace = FailureTrace::from_records(records);
         let idx = trace.index();
-        assert_view_matches_owned(&idx.all(), &trace);
+        let naive = Naive::of(&trace);
+        assert_view_matches_owned(&idx.all(), &naive);
         for sys in index_systems(&trace) {
-            assert_view_matches_owned(&idx.system(sys), &trace.filter_system(sys));
-            assert_view_matches_owned(
-                &idx.all().filter_system(sys),
-                &trace.filter_system(sys),
-            );
+            assert_view_matches_owned(&idx.system(sys), &naive.system(sys));
+            assert_view_matches_owned(&idx.all().filter_system(sys), &naive.system(sys));
             for node in 0..3u32 {
                 let node = NodeId::new(node);
+                assert_view_matches_owned(&idx.node(sys, node), &naive.node(sys, node));
                 assert_view_matches_owned(
-                    &idx.node(sys, node),
-                    &trace.filter_node(sys, node),
+                    &idx.all().filter_node(sys, node),
+                    &naive.node(sys, node),
                 );
             }
         }
         for cause in RootCause::ALL {
-            assert_view_matches_owned(&idx.cause(cause), &trace.filter_cause(cause));
-            assert_view_matches_owned(
-                &idx.all().filter_cause(cause),
-                &trace.filter_cause(cause),
-            );
+            assert_view_matches_owned(&idx.cause(cause), &naive.cause(cause));
+            assert_view_matches_owned(&idx.all().filter_cause(cause), &naive.cause(cause));
         }
         for w in Workload::ALL {
-            assert_view_matches_owned(&idx.workload(w), &trace.filter_workload(w));
-            prop_assert_eq!(idx.all().count_workload(w), trace.filter_workload(w).len());
+            assert_view_matches_owned(&idx.workload(w), &naive.workload(w));
+            assert_view_matches_owned(&idx.all().filter_workload(w), &naive.workload(w));
         }
     }
 
     /// Window slicing and stacked filter compositions agree with chains
-    /// of owned filters, in every order.
+    /// of naive owned filters, in every order.
     #[test]
     fn view_windows_and_compositions_match_owned(
         records in prop::collection::vec(arbitrary_record(), 0..120),
@@ -576,43 +716,46 @@ proptest! {
     ) {
         let trace = FailureTrace::from_records(records);
         let idx = trace.index();
+        let naive = Naive::of(&trace);
         let (from, to) = (Timestamp::from_secs(a.min(b)), Timestamp::from_secs(a.max(b)));
-        assert_view_matches_owned(&idx.all().window(from, to), &trace.filter_window(from, to));
+        let windowed = naive.window(from, to);
+        assert_view_matches_owned(&idx.all().window(from, to), &windowed);
         for sys in index_systems(&trace) {
-            let owned = trace.filter_system(sys).filter_window(from, to);
+            let owned = naive.system(sys).window(from, to);
             assert_view_matches_owned(&idx.system(sys).window(from, to), &owned);
             // Window first, system second — same rows either way.
-            assert_view_matches_owned(
-                &idx.all().window(from, to).filter_system(sys),
-                &owned,
-            );
+            assert_view_matches_owned(&idx.all().window(from, to).filter_system(sys), &owned);
             for node in 0..2u32 {
                 let node = NodeId::new(node);
                 assert_view_matches_owned(
                     &idx.node(sys, node).window(from, to),
-                    &trace.filter_node(sys, node).filter_window(from, to),
+                    &naive.node(sys, node).window(from, to),
+                );
+                // A node restriction of a cause view (owned-rows path).
+                assert_view_matches_owned(
+                    &idx.cause(RootCause::Hardware).filter_node(sys, node),
+                    &naive.cause(RootCause::Hardware).node(sys, node),
                 );
             }
         }
         for cause in RootCause::ALL {
             assert_view_matches_owned(
                 &idx.cause(cause).window(from, to),
-                &trace.filter_cause(cause).filter_window(from, to),
+                &naive.cause(cause).window(from, to),
             );
             assert_view_matches_owned(
                 &idx.all().window(from, to).filter_cause(cause),
-                &trace.filter_window(from, to).filter_cause(cause),
+                &windowed.cause(cause),
             );
         }
     }
 
     /// The single-pass group-by kernels agree with per-record folds over
-    /// the owned trace.
+    /// the owned records.
     #[test]
     fn view_group_kernels_match_owned_folds(
         records in prop::collection::vec(arbitrary_record(), 0..120),
     ) {
-        use std::collections::BTreeMap;
         let trace = FailureTrace::from_records(records);
         let idx = trace.index();
 
@@ -632,20 +775,22 @@ proptest! {
             prop_assert_eq!(&totals.count, counts);
             prop_assert_eq!(&totals.downtime_secs, downtime);
         }
+        let naive = Naive::of(&trace);
         for sys in index_systems(&trace) {
+            let want = naive.failures_per_node(sys, 8);
+            prop_assert_eq!(idx.failures_per_node(sys, 8), want.clone());
+            prop_assert_eq!(idx.all().failures_per_node(sys, 8), want);
+            // Off the whole-trace fast path: a windowed view scans rows.
+            let (mid, end) = (Timestamp::from_secs(150_000_000), Timestamp::from_secs(u64::MAX));
             prop_assert_eq!(
-                idx.failures_per_node(sys, 8),
-                trace.failures_per_node(sys, 8)
-            );
-            prop_assert_eq!(
-                idx.all().failures_per_node(sys, 8),
-                trace.failures_per_node(sys, 8)
+                idx.all().window(mid, end).failures_per_node(sys, 8),
+                naive.window(mid, end).failures_per_node(sys, 8)
             );
         }
     }
 
-    /// The sorted-merge fast path must equal rebuilding from the record
-    /// concatenation (the pre-rewrite extend-then-resort semantics).
+    /// The two-pointer merge must equal rebuilding from the record
+    /// concatenation (extend-then-resort semantics).
     #[test]
     fn merge_equals_from_records_of_concat(
         a in prop::collection::vec(arbitrary_record(), 0..80),
@@ -670,8 +815,8 @@ proptest! {
         let trace = FailureTrace::from_records(records);
         let (from, to) = (Timestamp::from_secs(a.min(b)), Timestamp::from_secs(a.max(b)));
         let sliced = trace.filter_window(from, to);
-        let scanned = trace.filter(|r| r.start() >= from && r.start() < to);
-        prop_assert_eq!(sliced.records(), scanned.records());
+        let scanned = Naive::of(&trace).window(from, to);
+        prop_assert_eq!(sliced.records(), &scanned.0[..]);
         // Degenerate empty window.
         let empty = trace.filter_window(to, from);
         prop_assert!(empty.is_empty() || from == to);
