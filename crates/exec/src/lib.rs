@@ -37,4 +37,6 @@ mod pool;
 mod seed;
 
 pub use pool::{ExecError, ParallelExecutor, THREADS_ENV};
-pub use seed::{derive_stream_seed, splitmix64, SeedSequence, GOLDEN_GAMMA};
+pub use seed::{
+    derive_stream_seed, pick_weighted, splitmix64, unit_f64, SeedSequence, GOLDEN_GAMMA,
+};

@@ -24,6 +24,45 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     mix(*state)
 }
 
+/// Map a 64-bit draw to a uniform `f64` in `[0, 1)`: the top 53 bits
+/// scaled by 2⁻⁵³, so every output is an exact multiple of 2⁻⁵³.
+#[inline]
+pub fn unit_f64(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Weighted pick over `(item, weight)` pairs: `draw() % total` located
+/// along the cumulative weights, so item `i` wins with probability
+/// `weight_i / total`.
+///
+/// Returns `None` when every weight is zero, **without calling `draw`**:
+/// a disabled mix consumes no randomness, and each caller keeps its own
+/// fallback for that case.
+///
+/// ```
+/// use hpcfail_exec::pick_weighted;
+/// let mix = [('a', 1), ('b', 0), ('c', 3)];
+/// assert_eq!(pick_weighted(&mix, || 0), Some('a'));
+/// assert_eq!(pick_weighted(&mix, || 1), Some('c'));
+/// assert_eq!(pick_weighted(&[('a', 0)], || unreachable!()), None);
+/// ```
+pub fn pick_weighted<T: Copy>(weighted: &[(T, u32)], draw: impl FnOnce() -> u64) -> Option<T> {
+    let total: u64 = weighted.iter().map(|&(_, w)| w as u64).sum();
+    if total == 0 {
+        return None;
+    }
+    let mut roll = draw() % total;
+    weighted.iter().find_map(|&(item, weight)| {
+        let weight = weight as u64;
+        if roll < weight {
+            Some(item)
+        } else {
+            roll -= weight;
+            None
+        }
+    })
+}
+
 /// Derive the seed of stream `stream` from a `root` seed.
 ///
 /// For a fixed root this is injective in `stream`: the state offset
@@ -98,5 +137,33 @@ mod tests {
         let seq = SeedSequence::new(7);
         assert_ne!(seq.child(0).stream(0), seq.child(1).stream(0));
         assert_ne!(seq.child(0).stream(0), seq.stream(0));
+    }
+
+    #[test]
+    fn weighted_pick_walks_the_cumulative_weights() {
+        // Every roll in [0, total) lands on the item whose cumulative
+        // band holds it; zero-weight items own no band.
+        let mix = [(0u8, 2), (1, 0), (2, 3), (3, 1)];
+        let picks: Vec<u8> = (0..12u64)
+            .map(|roll| pick_weighted(&mix, || roll).unwrap())
+            .collect();
+        assert_eq!(picks, vec![0, 0, 2, 2, 2, 3, 0, 0, 2, 2, 2, 3]);
+        // An all-zero mix draws nothing.
+        let mut calls = 0;
+        assert_eq!(
+            pick_weighted(&[(0u8, 0), (1, 0)], || {
+                calls += 1;
+                0
+            }),
+            None
+        );
+        assert_eq!(calls, 0);
+    }
+
+    #[test]
+    fn unit_f64_spans_the_half_open_unit_interval() {
+        assert_eq!(unit_f64(0), 0.0);
+        assert_eq!(unit_f64(u64::MAX), 1.0 - 2f64.powi(-53));
+        assert_eq!(unit_f64(1 << 63), 0.5);
     }
 }

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use hpcfail_exec::SeedSequence;
+use hpcfail_exec::{pick_weighted, unit_f64, SeedSequence};
 
 use crate::io::{is_header, write_csv};
 use crate::trace::FailureTrace;
@@ -85,11 +85,6 @@ impl FaultMix {
             (Fault::SkewTimestamp, self.skew_timestamp),
         ]
     }
-
-    /// Sum of all weights.
-    pub fn total_weight(&self) -> u64 {
-        self.weighted().iter().map(|&(_, w)| w as u64).sum()
-    }
 }
 
 impl Default for FaultMix {
@@ -157,11 +152,6 @@ pub struct Corruptor {
     plan: CorruptionPlan,
 }
 
-/// Map a SplitMix64 output to a uniform `f64` in `[0, 1)`.
-fn unit(v: u64) -> f64 {
-    (v >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 impl Corruptor {
     /// A corruptor executing `plan`.
     pub fn new(plan: CorruptionPlan) -> Self {
@@ -205,7 +195,7 @@ impl Corruptor {
             }
             let stream = row_space.child(row_index);
             row_index += 1;
-            if unit(stream.stream(0)) < self.plan.rate {
+            if unit_f64(stream.stream(0)) < self.plan.rate {
                 self.apply_fault(line, &stream, &mut rows);
             } else {
                 rows.push(line.to_string());
@@ -236,20 +226,11 @@ impl Corruptor {
     }
 
     fn apply_fault(&self, line: &str, stream: &SeedSequence, out: &mut Vec<String>) {
-        let total = self.plan.mix.total_weight();
-        if total == 0 {
+        // An all-zero mix leaves the row untouched.
+        let Some(fault) = pick_weighted(&self.plan.mix.weighted(), || stream.stream(1)) else {
             out.push(line.to_string());
             return;
-        }
-        let mut pick = stream.stream(1) % total;
-        let mut fault = Fault::MangleField;
-        for (f, w) in self.plan.mix.weighted() {
-            if pick < w as u64 {
-                fault = f;
-                break;
-            }
-            pick -= w as u64;
-        }
+        };
         match fault {
             Fault::MangleField => {
                 let mut fields: Vec<String> = line.split(',').map(str::to_string).collect();
@@ -345,11 +326,6 @@ impl BinaryFaultMix {
             (BinaryFault::BitFlips, self.bit_flips),
             (BinaryFault::VersionSkew, self.version_skew),
         ]
-    }
-
-    /// Sum of all weights.
-    pub fn total_weight(&self) -> u64 {
-        self.weighted().iter().map(|&(_, w)| w as u64).sum()
     }
 }
 
@@ -469,19 +445,10 @@ impl BinaryCorruptor {
         }
     }
 
+    /// The mix's weighted draw; an all-zero mix falls back to bit flips.
     fn pick_fault(&self, stream: &SeedSequence) -> BinaryFault {
-        let total = self.plan.mix.total_weight();
-        if total == 0 {
-            return BinaryFault::BitFlips;
-        }
-        let mut pick = stream.stream(0) % total;
-        for (f, w) in self.plan.mix.weighted() {
-            if pick < w as u64 {
-                return f;
-            }
-            pick -= w as u64;
-        }
-        BinaryFault::BitFlips
+        pick_weighted(&self.plan.mix.weighted(), || stream.stream(0))
+            .unwrap_or(BinaryFault::BitFlips)
     }
 }
 

@@ -28,7 +28,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use hpcfail_exec::{derive_stream_seed, splitmix64};
+use hpcfail_exec::{derive_stream_seed, pick_weighted, splitmix64, unit_f64};
 
 /// One socket-level fault kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,8 @@ impl NetFault {
 }
 
 /// Relative weights of the fault kinds. A weight of zero disables that
-/// kind (mirrors `records::corrupt::FaultMix`).
+/// kind (mirrors `records::corrupt::FaultMix`; both draw through
+/// [`hpcfail_exec::pick_weighted`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetFaultMix {
     /// Weight of [`NetFault::ConnectIdle`].
@@ -142,27 +143,10 @@ impl NetFaultMix {
         ]
     }
 
-    /// Sum of all weights.
-    pub fn total_weight(&self) -> u64 {
-        self.weighted().iter().map(|&(_, w)| w as u64).sum()
-    }
-
-    /// Weighted draw from a SplitMix64 stream; `None` when every
-    /// weight is zero.
+    /// Weighted draw from a SplitMix64 stream; `None` (and the stream
+    /// left unadvanced) when every weight is zero.
     pub fn pick(&self, stream: &mut u64) -> Option<NetFault> {
-        let total = self.total_weight();
-        if total == 0 {
-            return None;
-        }
-        let mut roll = splitmix64(stream) % total;
-        for (fault, weight) in self.weighted() {
-            let weight = weight as u64;
-            if roll < weight {
-                return Some(fault);
-            }
-            roll -= weight;
-        }
-        None
+        pick_weighted(&self.weighted(), || splitmix64(stream))
     }
 }
 
@@ -221,11 +205,6 @@ pub enum ChaosOp {
 
 const PLAN_STREAM: u64 = 0xC4A0_57A6;
 const SHUFFLE_STREAM: u64 = 0x5EED_F1A7;
-
-/// `u64` → uniform `f64` in `[0, 1)` (53-bit mantissa trick).
-fn unit_f64(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// Expand a plan into its op sequence — a pure function of `(plan,
 /// controls)`, replayable forever.
