@@ -14,6 +14,19 @@ cargo build --workspace --release
 echo "==> cargo test --workspace (release)"
 cargo test --workspace --release -q
 
+# Intra-doc links must resolve: a link to a renamed or deleted item fails
+# here instead of rendering as dead text. Only the workspace crates are
+# documented — the vendored stand-ins under vendor/ are not ours to lint.
+echo "==> cargo doc, broken intra-doc links denied (workspace crates)"
+doc_args=()
+doc_count=0
+for manifest in crates/*/Cargo.toml; do
+    doc_args+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)")
+    doc_count=$((doc_count + 1))
+done
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps -q "${doc_args[@]}"
+echo "OK: intra-doc links resolve in all $doc_count workspace crates"
+
 # The repo benchmark (BENCHMARK.json) is a separate cargo package that
 # drives the crates' public API: build and test it here so an API change
 # that breaks it fails CI rather than the benchmark run. `--locked`
