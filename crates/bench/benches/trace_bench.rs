@@ -88,8 +88,9 @@ mod legacy {
     pub fn per_node_gap_counts(trace: &FailureTrace, system: SystemId) -> Vec<usize> {
         (0..NODES)
             .map(|n| {
-                let node_trace =
-                    filter(trace, |r| r.system() == system && r.node() == NodeId::new(n));
+                let node_trace = filter(trace, |r| {
+                    r.system() == system && r.node() == NodeId::new(n)
+                });
                 interarrival_secs(&node_trace).map_or(0, |g| g.len())
             })
             .collect()
@@ -125,7 +126,11 @@ mod legacy {
     }
 
     /// Old `filter_window`: linear predicate scan with a clone.
-    pub fn filter_window(trace: &FailureTrace, from: Timestamp, to: Timestamp) -> Vec<FailureRecord> {
+    pub fn filter_window(
+        trace: &FailureTrace,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Vec<FailureRecord> {
         filter(trace, |r| r.start() >= from && r.start() < to)
     }
 

@@ -236,7 +236,10 @@ fn fig1(ctx: &Ctx, idx: &TraceIndex<'_>) -> Result<(), String> {
         println!("{}", t.render());
     }
     println!("detailed causes across all systems (top 6):");
-    for (cause, frac) in rootcause::detailed_fractions(&idx.all()).into_iter().take(6) {
+    for (cause, frac) in rootcause::detailed_fractions(&idx.all())
+        .into_iter()
+        .take(6)
+    {
         println!("  {cause:<18} {}", fmt_pct(frac));
     }
     Ok(())
@@ -436,7 +439,8 @@ fn fig6(ctx: &Ctx, idx: &TraceIndex<'_>) -> Result<(), String> {
             late,
         ),
     ];
-    if let Some((peak, at)) = hpcfail_records::intervals::peak_concurrent_outages(&idx.system(sys)) {
+    if let Some((peak, at)) = hpcfail_records::intervals::peak_concurrent_outages(&idx.system(sys))
+    {
         println!("peak concurrent node outages: {peak} (at {at})");
     }
     for (label, view, window) in cases {

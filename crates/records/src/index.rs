@@ -1042,7 +1042,10 @@ mod tests {
         assert_eq!(all.first_start(), Some(secs(500)));
         assert_eq!(all.last_start(), Some(secs(3_000)));
         assert_eq!(all.total_downtime_secs(), 60 + 120 + 30 + 600 + 90 + 15);
-        assert_eq!(all.downtimes_minutes(), vec![2.0, 1.0, 10.0, 0.5, 1.5, 0.25]);
+        assert_eq!(
+            all.downtimes_minutes(),
+            vec![2.0, 1.0, 10.0, 0.5, 1.5, 0.25]
+        );
         assert_eq!(all.count_by_system()[&SystemId::new(20)], 5);
         assert_eq!(all.downtime_by_system()[&SystemId::new(5)], 600);
         assert_eq!(
@@ -1058,7 +1061,9 @@ mod tests {
         // A cause view measures gaps between retained records only:
         // hardware keeps (20,0) at 1000, 2000 and 3000.
         assert_eq!(
-            index.cause(RootCause::Hardware).per_node_interarrival_secs(),
+            index
+                .cause(RootCause::Hardware)
+                .per_node_interarrival_secs(),
             vec![1_000.0, 1_000.0]
         );
     }
@@ -1151,14 +1156,23 @@ mod tests {
                 index.system(sys).total_downtime_secs()
             );
         }
-        assert_eq!(totals[&SystemId::new(20)].downtime_secs[RootCause::Hardware.index()], 105);
+        assert_eq!(
+            totals[&SystemId::new(20)].downtime_secs[RootCause::Hardware.index()],
+            105
+        );
         assert_eq!(
             totals.keys().copied().collect::<Vec<_>>(),
             index.systems().collect::<Vec<_>>()
         );
         assert_eq!(view.downtime_by_system().len(), totals.len());
-        assert_eq!(index.failures_per_node(SystemId::new(20), 4), vec![3, 2, 0, 0]);
-        assert_eq!(view.failures_per_node(SystemId::new(20), 4), vec![3, 2, 0, 0]);
+        assert_eq!(
+            index.failures_per_node(SystemId::new(20), 4),
+            vec![3, 2, 0, 0]
+        );
+        assert_eq!(
+            view.failures_per_node(SystemId::new(20), 4),
+            vec![3, 2, 0, 0]
+        );
         // A window counts only its own rows: 500 (20,1) and 1000 (20,0).
         assert_eq!(
             view.window(secs(500), secs(2_000))
@@ -1242,7 +1256,9 @@ mod tests {
         assert!((index.all().zero_gap_fraction() - 0.2).abs() < 1e-15);
         // A node view has no simultaneous failures.
         assert_eq!(
-            index.node(SystemId::new(20), NodeId::new(0)).zero_gap_fraction(),
+            index
+                .node(SystemId::new(20), NodeId::new(0))
+                .zero_gap_fraction(),
             0.0
         );
     }

@@ -60,7 +60,7 @@ impl FailureTrace {
     pub fn push(&mut self, record: FailureRecord) {
         let key = sort_key(&record);
         // Fast path: appending in key order.
-        if self.records.last().map_or(true, |last| sort_key(last) <= key) {
+        if self.records.last().is_none_or(|last| sort_key(last) <= key) {
             self.records.push(record);
         } else {
             let pos = self.records.partition_point(|r| sort_key(r) <= key);
@@ -273,7 +273,10 @@ mod tests {
     fn failures_per_node_includes_zeros() {
         let t = sample_trace();
         let index = t.index();
-        assert_eq!(index.failures_per_node(SystemId::new(20), 4), vec![2, 2, 0, 0]);
+        assert_eq!(
+            index.failures_per_node(SystemId::new(20), 4),
+            vec![2, 2, 0, 0]
+        );
         // Out-of-range node ids are ignored rather than panicking.
         assert_eq!(index.failures_per_node(SystemId::new(20), 1), vec![2]);
     }

@@ -87,7 +87,9 @@ pub fn reliability_ranking(profiles: &[NodeProfile]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcfail_records::{DetailedCause, FailureRecord, FailureTrace, NodeId, Timestamp, Workload};
+    use hpcfail_records::{
+        DetailedCause, FailureRecord, FailureTrace, NodeId, Timestamp, Workload,
+    };
 
     fn trace() -> FailureTrace {
         let rec = |node: u32, start: u64| {

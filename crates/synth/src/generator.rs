@@ -497,7 +497,9 @@ mod tests {
         let mut compute = 0u64;
         for seed in 0..5u64 {
             let trace = g.system_trace(SystemId::new(5), seed).unwrap();
-            let counts = trace.index().failures_per_node(SystemId::new(5), spec.nodes());
+            let counts = trace
+                .index()
+                .failures_per_node(SystemId::new(5), spec.nodes());
             fe += counts[0];
             compute += counts[1..].iter().sum::<u64>();
         }
@@ -539,7 +541,11 @@ mod tests {
         let g = TraceGenerator::new(&catalog, &cal).unwrap();
         let site = g.site_trace(1).unwrap();
         let index = site.index();
-        assert_eq!(index.systems().count(), 22, "every system contributes records");
+        assert_eq!(
+            index.systems().count(),
+            22,
+            "every system contributes records"
+        );
         // Total magnitude: Σ annual × years is in the paper's ~23000 zone.
         assert!(
             site.len() > 10_000 && site.len() < 60_000,

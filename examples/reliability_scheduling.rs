@@ -20,8 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = hpcfail::synth::scenario::system_trace(system, 42)?;
     let catalog = Catalog::lanl();
     let spec = catalog.system(system)?;
-    let profiles =
-        profiles_from_index(&trace.index(), system, spec.nodes(), spec.production_years())?;
+    let profiles = profiles_from_index(
+        &trace.index(),
+        system,
+        spec.nodes(),
+        spec.production_years(),
+    )?;
     let ranking = reliability_ranking(&profiles);
     println!(
         "most reliable nodes: {:?}; least reliable: {:?}",

@@ -223,8 +223,7 @@ fn fig6_time_between_failures() {
     // (paper C² 3.9 vs 1.9), exponential always worst.
     let a =
         tbf::analyze_indexed(index, tbf::View::Node(sys, NodeId::new(22)), Some(early)).unwrap();
-    let b =
-        tbf::analyze_indexed(index, tbf::View::Node(sys, NodeId::new(22)), Some(late)).unwrap();
+    let b = tbf::analyze_indexed(index, tbf::View::Node(sys, NodeId::new(22)), Some(late)).unwrap();
     assert!(a.c2 > b.c2, "early C² {} vs late C² {}", a.c2, b.c2);
     assert_eq!(a.fits.rank_of(Family::Exponential), Some(3));
     assert_eq!(b.fits.rank_of(Family::Exponential), Some(3));

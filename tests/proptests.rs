@@ -151,7 +151,13 @@ fn arbitrary_record() -> impl Strategy<Value = FailureRecord> {
 /// Records drawn from tiny start/system/node ranges, so equal sort keys
 /// (and equal starts with different systems) are common.
 fn tied_record() -> impl Strategy<Value = FailureRecord> {
-    (1u32..4, 0u32..3, 0u64..8, 0u64..5, 0usize..hpcfail::records::DetailedCause::ALL.len())
+    (
+        1u32..4,
+        0u32..3,
+        0u64..8,
+        0u64..5,
+        0usize..hpcfail::records::DetailedCause::ALL.len(),
+    )
         .prop_map(|(sys, node, start, dur, d)| {
             FailureRecord::new(
                 SystemId::new(sys),
