@@ -63,7 +63,7 @@ pub fn any_node_down_secs(view: &TraceView<'_>) -> u64 {
 /// The peak number of simultaneously-down nodes in the view and when it
 /// occurred. Returns `None` for an empty view.
 pub fn peak_concurrent_outages(view: &TraceView<'_>) -> Option<(u32, Timestamp)> {
-    let mut events: Vec<(u64, i32)> = Vec::with_capacity(2 * view.len());
+    let mut events: Vec<(u64, i32)> = Vec::new();
     for r in view.iter() {
         events.push((r.start().as_secs(), 1));
         events.push((r.end().as_secs(), -1));

@@ -253,15 +253,15 @@ pub fn run(
     Ok(())
 }
 
-/// Answer a shed connection with `503` + `retry-after` and close. Write
-/// timeouts are short: a shed peer never gets to block the acceptor.
+/// Discard the input bytes that have already arrived (non-blocking, at
+/// most [`MAX_HEAD`]).
 ///
 /// Closing a socket with unread input sends RST instead of FIN, and the
-/// RST can reach the peer before it has read the `503`. So the request
-/// bytes that have already arrived are discarded first (non-blocking,
-/// at most [`MAX_HEAD`]), and the response is followed by a FIN: a peer
-/// that has read the FIN sees end-of-stream even if a late RST follows.
-fn shed(mut stream: TcpStream, config: &ServeConfig) {
+/// RST can reach the peer before it has read the response — the peer
+/// then sees a reset instead of end-of-stream. Callers discard what has
+/// arrived and end the response with a FIN: a peer that has read the
+/// FIN sees end-of-stream even if a late RST follows.
+fn discard_buffered_input(stream: &mut TcpStream) {
     if stream.set_nonblocking(true).is_ok() {
         let mut sink = [0u8; 4096];
         let mut discarded = 0;
@@ -273,6 +273,14 @@ fn shed(mut stream: TcpStream, config: &ServeConfig) {
         }
         let _ = stream.set_nonblocking(false);
     }
+}
+
+/// Answer a shed connection with `503` + `retry-after` and close. Write
+/// timeouts are short: a shed peer never gets to block the acceptor.
+/// The unread request is discarded first and the `503` ends with a FIN
+/// (see [`discard_buffered_input`]).
+fn shed(mut stream: TcpStream, config: &ServeConfig) {
+    discard_buffered_input(&mut stream);
     let _ = stream.set_write_timeout(Some(config.io_timeout.min(Duration::from_millis(250))));
     let resp = Response::overloaded(config.retry_after_secs, "server overloaded; retry");
     let _ = stream.write_all(&resp.to_bytes());
@@ -394,7 +402,13 @@ fn serve_connection(state: &AppState, mut stream: TcpStream, config: &ServeConfi
     let _ = stream.set_write_timeout(Some(write_budget));
     let _ = stream.write_all(&response.to_bytes());
     let _ = stream.flush();
-    if drain {
+    if !drain {
+        // One request per connection: a pipelined second request is
+        // never served, so discard it rather than let it turn the close
+        // into an RST that can cut off this response.
+        discard_buffered_input(&mut stream);
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+    } else {
         let _ = stream.shutdown(std::net::Shutdown::Write);
         let mut sink = [0u8; 4096];
         let mut drained = 0usize;
