@@ -3,8 +3,9 @@
 //! The data model of the LANL failure trace studied by Schroeder & Gibson
 //! (DSN 2006): typed failure records, the 22-system catalog of Table 1,
 //! the root-cause taxonomy, workload classes, a simulated wall clock with
-//! real calendar semantics, trace containers with the query operations the
-//! paper's analyses need, and CSV ingestion/export.
+//! real calendar semantics, the sorted trace container with the index and
+//! views every query of the paper's analyses goes through, and CSV
+//! ingestion/export.
 //!
 //! ```
 //! use hpcfail_records::{Catalog, SystemId};

@@ -142,12 +142,6 @@ impl NetFaultMix {
             (NetFault::CorruptBytes, self.corrupt_bytes),
         ]
     }
-
-    /// Weighted draw from a SplitMix64 stream; `None` (and the stream
-    /// left unadvanced) when every weight is zero.
-    pub fn pick(&self, stream: &mut u64) -> Option<NetFault> {
-        pick_weighted(&self.weighted(), || splitmix64(stream))
-    }
 }
 
 impl Default for NetFaultMix {
@@ -213,8 +207,9 @@ pub fn plan_ops(plan: &ChaosPlan, controls: usize) -> Vec<ChaosOp> {
     let mut ops: Vec<ChaosOp> = (0..plan.ops)
         .map(|_| {
             let roll = unit_f64(splitmix64(&mut stream));
+            // An all-zero mix draws nothing and yields a control op.
             let fault = if roll < plan.rate {
-                plan.mix.pick(&mut stream)
+                pick_weighted(&plan.mix.weighted(), || splitmix64(&mut stream))
             } else {
                 None
             };
